@@ -2,18 +2,16 @@
 //
 // The inner loop of every fuzzing trial is one tasklet execution per map
 // point, on both sides of the differential test.  This bench measures that
-// loop head-to-head on the three engines:
+// loop head-to-head on the three tiers:
 //
 //  * reference   — recursive AST walker, per-point ConnectorEnv (std::map)
 //    construction and fresh gather/scatter vectors;
 //  * generic     — bytecode VM over precomputed memlet access plans and a
 //    reusable flat scratch arena (ExecConfig::specialize = false);
-//  * specialized — flat-stride map kernels + the untagged f64/i64 VMs on
-//    top of the generic path (batch_segments = false here, so this is the
-//    per-point kernel loop; see docs/ARCHITECTURE.md "Specialization
-//    tiers");
-//  * batched     — segment-eligible kernels run the whole stride-1 inner
-//    extent per dispatch through the vertical batch VMs (the default).
+//  * specialized — flat-stride map kernels + the untagged VM on top of the
+//    generic path: width 1 per point, or the whole inner extent per
+//    instruction for segment-eligible launches (the default; see
+//    docs/ARCHITECTURE.md "Specialization tiers").
 //
 // The workload is tasklet-dense on purpose (chained elementwise maps with
 // arithmetic, a matmul-style accumulation nest, and a branchy activation —
@@ -22,9 +20,13 @@
 // acceptance bars: compiled >= 3x the reference engine, and specialized
 // >= 1.5x the generic compiled path (both on one thread).
 //
-// A second, flat-stride section measures the batched segment tier against
-// the per-point kernel loop on straight-line 1-D chains per dtype (f64,
-// f32, i64).  Acceptance bar: batched >= 2x per-point on the f64 section.
+// A second, flat-stride section measures column-width segments against
+// width 1 on the same straight-line chain and the same points, per dtype
+// (f64, f32, i64): shape {1, N} runs one N-point segment per map, shape
+// {N, 1} moves the extent to the outer level so every segment is one point.
+// Acceptance bar: batched >= 2x width 1 on the f64 section.  A sweep over
+// the inner extent L of shape {N/L, L} then prints the crossover: batching
+// ties with width 1 at L = 1 and wins from L = 2.
 //
 // Lines prefixed BENCH_KV are machine-readable; scripts/bench_hotpath_json.py
 // folds them into a BENCH_hotpath.json baseline artifact (CI uploads it).
@@ -33,6 +35,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <thread>
 
 #include "workloads/builders.h"
@@ -91,13 +94,11 @@ sym::Bindings bindings() { return {{"N", kN}, {"M", kM}, {"K", kK}}; }
 /// Executions/second on one engine; runs `reps` full program executions
 /// against a warm interpreter (plan + tasklet caches populated).  `spec`
 /// optionally receives the plan cache's specialization counters.
-double measure(bool compiled, bool specialize, bool batch, int reps,
-               interp::SpecStats* spec = nullptr) {
+double measure(bool compiled, bool specialize, int reps, interp::SpecStats* spec = nullptr) {
     ir::SDFG p = build_hotpath();
     interp::ExecConfig cfg;
     cfg.use_compiled_tasklets = compiled;
     cfg.specialize = specialize;
-    cfg.batch_segments = batch;
     interp::Interpreter interp(cfg);
 
     interp::Context warm = bench::random_inputs(p, bindings());
@@ -119,20 +120,21 @@ double measure(bool compiled, bool specialize, bool batch, int reps,
     return static_cast<double>(tasklet_executions_per_run()) * reps / secs;
 }
 
-// --- Flat-stride batched vs per-point, per dtype ------------------------------
+// --- Flat-stride segments vs width 1, per dtype ------------------------------
 
 constexpr std::int64_t kFlatN = 1 << 15;
 
-/// Two chained straight-line 1-D elementwise maps over `dtype` containers:
-/// the shape the segment tier exists for (every launch is one contiguous
-/// stride-1 segment of kFlatN points).
+/// Two chained straight-line elementwise maps over R x C `dtype` containers:
+/// the shape segments exist for.  Every launch is R segments of C
+/// contiguous points.
 ir::SDFG build_flat(ir::DType dtype) {
     ir::SDFG p("flat");
-    p.add_symbol("N");
-    const sym::ExprPtr n = sym::symb("N");
-    p.add_array("x", dtype, {n});
-    p.add_array("t", dtype, {n}, /*transient=*/true);
-    p.add_array("y", dtype, {n});
+    p.add_symbol("R");
+    p.add_symbol("C");
+    const std::vector<sym::ExprPtr> shape{sym::symb("R"), sym::symb("C")};
+    p.add_array("x", dtype, shape);
+    p.add_array("t", dtype, shape, /*transient=*/true);
+    p.add_array("y", dtype, shape);
     ir::State& st = p.state(p.add_state("main", true));
     const bool is_float = ir::dtype_is_float(dtype);
     const ir::NodeId t = workloads::ew_unary(
@@ -143,15 +145,13 @@ ir::SDFG build_flat(ir::DType dtype) {
     return p;
 }
 
-/// Map points/second on the flat-stride chain for one dtype, batched or
-/// per-point (both run the specialized kernel tier).
-double measure_flat(ir::DType dtype, bool batch, int reps,
+/// Map points/second on the flat chain for one dtype with inner extent
+/// `inner` (kFlatN points per map either way).
+double measure_flat(ir::DType dtype, std::int64_t inner, int reps,
                     interp::SpecStats* spec = nullptr) {
     ir::SDFG p = build_flat(dtype);
-    interp::ExecConfig cfg;
-    cfg.batch_segments = batch;
-    interp::Interpreter interp(cfg);
-    const sym::Bindings binds{{"N", kFlatN}};
+    interp::Interpreter interp;
+    const sym::Bindings binds{{"R", kFlatN / inner}, {"C", inner}};
 
     interp::Context warm = bench::random_inputs(p, binds);
     if (!interp.run(p, warm).ok()) throw common::Error("flat warmup failed");
@@ -239,15 +239,10 @@ double measure_parallel(int threads, int reps_per_thread) {
 
 void print_report() {
     const int reps = 6;
-    const double ref = measure(/*compiled=*/false, /*specialize=*/false, /*batch=*/false, reps);
-    const double generic =
-        measure(/*compiled=*/true, /*specialize=*/false, /*batch=*/false, reps);
+    const double ref = measure(/*compiled=*/false, /*specialize=*/false, reps);
+    const double generic = measure(/*compiled=*/true, /*specialize=*/false, reps);
     interp::SpecStats spec_stats;
-    const double specialized = measure(/*compiled=*/true, /*specialize=*/true, /*batch=*/false,
-                                       reps, &spec_stats);
-    interp::SpecStats batch_stats;
-    const double batched = measure(/*compiled=*/true, /*specialize=*/true, /*batch=*/true,
-                                   reps, &batch_stats);
+    const double specialized = measure(/*compiled=*/true, /*specialize=*/true, reps, &spec_stats);
     // The 3x bar gates the *generic* compiled path (the pre-specialization
     // guarantee — still a supported mode and the kernel fallback target);
     // the 1.5x bar gates specialization on top of it.
@@ -260,8 +255,7 @@ void print_report() {
                   std::to_string(kK) + ", constant-extent f64)");
     std::printf("  reference   (AST walker + ConnectorEnv): %12.0f exec/s\n", ref);
     std::printf("  generic     (bytecode VM, no kernels)  : %12.0f exec/s\n", generic);
-    std::printf("  specialized (per-point kernel loop)    : %12.0f exec/s\n", specialized);
-    std::printf("  batched     (segment tier, the default): %12.0f exec/s\n", batched);
+    std::printf("  specialized (kernels + untagged VM)    : %12.0f exec/s\n", specialized);
     std::printf("  generic compiled speedup: %.2fx vs reference (acceptance bar: >= 3x)  -> %s\n",
                 compiled_speedup, compiled_speedup >= 3.0 ? "PASS" : "FAIL");
     std::printf("  specialization speedup: %.2fx vs generic (acceptance bar: >= 1.5x)  -> %s\n",
@@ -278,13 +272,14 @@ void print_report() {
                 static_cast<long long>(spec_stats.tasklets_i64),
                 static_cast<long long>(spec_stats.tasklets_planned));
     std::printf("  kernel launches: %lld committed, %lld fell back to the odometer, "
-                "%lld ran batched segments\n",
+                "%lld ran column-width segments\n",
                 static_cast<long long>(spec_stats.kernel_launches),
                 static_cast<long long>(spec_stats.kernel_fallbacks),
-                static_cast<long long>(batch_stats.segment_launches));
+                static_cast<long long>(spec_stats.segment_launches));
 
-    // Flat-stride straight-line chains, per dtype: the segment tier's home
-    // turf.  The f64 section carries the acceptance bar.
+    // Flat-stride straight-line chains, per dtype: the segments' home turf.
+    // Width 1 runs the same chain with its extent on the outer level.  The
+    // f64 section carries the acceptance bar.
     struct FlatRow {
         const char* name;
         ir::DType dtype;
@@ -294,20 +289,40 @@ void print_report() {
     FlatRow flats[] = {{"f64", ir::DType::F64, 0, 0, 0},
                        {"f32", ir::DType::F32, 0, 0, 0},
                        {"i64", ir::DType::I64, 0, 0, 0}};
-    bench::banner("Batched segment tier - flat-stride map points per second (N=" +
-                  std::to_string(kFlatN) + ", 2 straight-line maps)");
+    bench::banner("Column-width segments vs width 1 - flat-stride map points per second (" +
+                  std::to_string(kFlatN) + " points, 2 straight-line maps)");
     for (FlatRow& row : flats) {
         interp::SpecStats fs;
-        row.perpoint = measure_flat(row.dtype, /*batch=*/false, 20);
-        row.batched = measure_flat(row.dtype, /*batch=*/true, 20, &fs);
+        row.perpoint = measure_flat(row.dtype, /*inner=*/1, 20);
+        row.batched = measure_flat(row.dtype, /*inner=*/kFlatN, 20, &fs);
         row.segments = fs.segment_launches;
         const double speedup = row.batched / row.perpoint;
-        std::printf("  %s: per-point %12.0f pts/s, batched %12.0f pts/s -> %.2fx%s\n",
-                    row.name, row.perpoint, row.batched, speedup,
+        std::printf("  %s: width 1 %12.0f pts/s, batched %12.0f pts/s -> %.2fx%s\n", row.name,
+                    row.perpoint, row.batched, speedup,
                     row.dtype == ir::DType::F64
                         ? (speedup >= 2.0 ? "  (acceptance bar: >= 2x) PASS"
                                           : "  (acceptance bar: >= 2x) FAIL")
                         : "");
+    }
+
+    // Crossover evidence: the same chain and points with inner extent L,
+    // relative to L = 1.  Segments run whenever L > 1.
+    constexpr std::int64_t kSweep[] = {2, 4, 16, 64, 256};
+    struct SweepRow {
+        const char* name;
+        ir::DType dtype;
+        double ratio[std::size(kSweep)];
+    };
+    SweepRow sweeps[] = {{"f64", ir::DType::F64, {}}, {"i64", ir::DType::I64, {}}};
+    bench::banner("Crossover - points/s at inner extent L relative to L = 1 (same points)");
+    for (SweepRow& row : sweeps) {
+        const double base = measure_flat(row.dtype, 1, 20);
+        std::printf("  %s: L=1 1.00x", row.name);
+        for (std::size_t i = 0; i < std::size(kSweep); ++i) {
+            row.ratio[i] = measure_flat(row.dtype, kSweep[i], 20) / base;
+            std::printf("  L=%lld %.2fx", static_cast<long long>(kSweep[i]), row.ratio[i]);
+        }
+        std::printf("\n");
     }
 
     // Thread scaling over the shared plan cache.  FF_BENCH_THREADS overrides
@@ -328,10 +343,8 @@ void print_report() {
     std::printf("BENCH_KV reference_exec_per_s=%.0f\n", ref);
     std::printf("BENCH_KV generic_exec_per_s=%.0f\n", generic);
     std::printf("BENCH_KV specialized_exec_per_s=%.0f\n", specialized);
-    std::printf("BENCH_KV batched_exec_per_s=%.0f\n", batched);
     std::printf("BENCH_KV compiled_speedup=%.3f\n", compiled_speedup);
     std::printf("BENCH_KV specialization_speedup=%.3f\n", spec_speedup);
-    std::printf("BENCH_KV batched_speedup=%.3f\n", batched / specialized);
     std::printf("BENCH_KV total_speedup=%.3f\n", total_speedup);
     std::printf("BENCH_KV scopes_specialized=%lld scopes_planned=%lld scopes_segmented=%lld\n",
                 static_cast<long long>(spec_stats.scopes_specialized),
@@ -344,7 +357,7 @@ void print_report() {
     std::printf("BENCH_KV kernel_launches=%lld kernel_fallbacks=%lld segment_launches=%lld\n",
                 static_cast<long long>(spec_stats.kernel_launches),
                 static_cast<long long>(spec_stats.kernel_fallbacks),
-                static_cast<long long>(batch_stats.segment_launches));
+                static_cast<long long>(spec_stats.segment_launches));
     std::printf("BENCH_KV flat_n=%lld\n", static_cast<long long>(kFlatN));
     for (const FlatRow& row : flats) {
         std::printf("BENCH_KV flat_%s_perpoint_pts_per_s=%.0f\n", row.name, row.perpoint);
@@ -354,6 +367,10 @@ void print_report() {
         std::printf("BENCH_KV flat_%s_segment_launches=%lld\n", row.name,
                     static_cast<long long>(row.segments));
     }
+    for (const SweepRow& row : sweeps)
+        for (std::size_t i = 0; i < std::size(kSweep); ++i)
+            std::printf("BENCH_KV crossover_%s_l%lld=%.3f\n", row.name,
+                        static_cast<long long>(kSweep[i]), row.ratio[i]);
     std::printf("BENCH_KV parallel_1t_exec_per_s=%.0f\n", one);
     std::printf("BENCH_KV parallel_nt_exec_per_s=%.0f parallel_threads=%d\n", many, threads);
 }

@@ -23,9 +23,7 @@ REQUIRED_KEYS = (
     "reference_exec_per_s",
     "generic_exec_per_s",
     "specialized_exec_per_s",
-    "batched_exec_per_s",
     "specialization_speedup",
-    "batched_speedup",
     "kernel_launches",
     "segment_launches",
     "flat_f64_batch_speedup",

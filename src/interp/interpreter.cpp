@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -61,11 +62,12 @@ std::int64_t saturating_add(std::int64_t counter, __int128 amount) {
     return sum > kMax ? kMax : static_cast<std::int64_t>(sum);
 }
 
-// --- Untagged load/store conversions -----------------------------------------
+// --- Untagged lane movers -----------------------------------------------------
 //
-// The untagged tiers move values between raw Buffer storage and flat
-// double/int64 arenas.  These helpers are the exact expressions Buffer::load
-// / Buffer::store apply on the tagged path, so every tier stays
+// The untagged VM runs on T = double (float-family signature) or int64
+// (int-family signature).  These helpers move values between raw Buffer
+// storage and T arenas with exactly the expressions Buffer::load /
+// Buffer::store apply on the tagged path, so every tier stays
 // byte-identical for any container dtype:
 //  * loads promote within the signature's family (F32 -> double mirrors the
 //    tagged load; I32 -> int64 likewise);
@@ -73,6 +75,10 @@ std::int64_t saturating_add(std::int64_t counter, __int128 amount) {
 //    tagged Value — including int64 -> float *via double* (Buffer::store
 //    casts as_double(), which double-rounds; a direct int64 -> float cast
 //    can differ in the last bit).
+// Each moves the lanes at flat offsets base, base + d, base + 2d, ... to or
+// from a contiguous column of `n` elements.  At W == 1 the count is the
+// compile-time constant 1 (`n` and `d` are ignored), so that instantiation
+// is the scalar single-element move.
 
 /// Raw storage base of `buf`'s runtime dtype (never null for a constructed
 /// buffer).
@@ -86,47 +92,46 @@ void* raw_data_of(Buffer& buf) {
     return nullptr;
 }
 
-double load_to_f64(const void* raw, ir::DType dt, std::int64_t flat) {
-    return dt == ir::DType::F64
-               ? static_cast<const double*>(raw)[flat]
-               : static_cast<double>(static_cast<const float*>(raw)[flat]);
+/// Buffer::store's conversion of an untagged T to storage type S.
+template <typename S, typename T>
+S store_cast(T v) {
+    if constexpr (std::is_same_v<S, float>) return static_cast<float>(static_cast<double>(v));
+    else if constexpr (std::is_same_v<S, std::int32_t>)
+        return static_cast<std::int32_t>(static_cast<std::int64_t>(v));
+    else return static_cast<S>(v);
 }
 
-std::int64_t load_to_i64(const void* raw, ir::DType dt, std::int64_t flat) {
-    return dt == ir::DType::I64
-               ? static_cast<const std::int64_t*>(raw)[flat]
-               : static_cast<std::int64_t>(static_cast<const std::int32_t*>(raw)[flat]);
+template <typename T, std::int64_t W, typename S>
+void load_strided(T* col, const void* raw, std::int64_t base, std::int64_t d, std::int64_t n) {
+    const S* src = static_cast<const S*>(raw) + base;
+    for (std::int64_t j = 0; j < (W == 1 ? 1 : n); ++j) col[j] = static_cast<T>(src[j * d]);
 }
 
-void store_from_f64(void* raw, ir::DType dt, std::int64_t flat, double v) {
+template <typename T, std::int64_t W, typename S>
+void store_strided(void* raw, std::int64_t base, std::int64_t d, const T* col, std::int64_t n) {
+    S* dst = static_cast<S*>(raw) + base;
+    for (std::int64_t j = 0; j < (W == 1 ? 1 : n); ++j) dst[j * d] = store_cast<S>(col[j]);
+}
+
+/// Loads lanes of a buffer in T's dtype family (checked by the caller).
+template <typename T, std::int64_t W>
+void load_lanes(T* col, const void* raw, ir::DType dt, std::int64_t base, std::int64_t d,
+                std::int64_t n) {
+    using Narrow = std::conditional_t<std::is_same_v<T, double>, float, std::int32_t>;
+    const ir::DType wide = std::is_same_v<T, double> ? ir::DType::F64 : ir::DType::I64;
+    if (dt == wide) load_strided<T, W, T>(col, raw, base, d, n);
+    else load_strided<T, W, Narrow>(col, raw, base, d, n);
+}
+
+/// Stores lanes into a buffer of any dtype.
+template <typename T, std::int64_t W>
+void store_lanes(void* raw, ir::DType dt, std::int64_t base, std::int64_t d, const T* col,
+                 std::int64_t n) {
     switch (dt) {
-        case ir::DType::F64: static_cast<double*>(raw)[flat] = v; break;
-        case ir::DType::F32:
-            static_cast<float*>(raw)[flat] = static_cast<float>(v);
-            break;
-        case ir::DType::I64:
-            static_cast<std::int64_t*>(raw)[flat] = static_cast<std::int64_t>(v);
-            break;
-        case ir::DType::I32:
-            static_cast<std::int32_t*>(raw)[flat] =
-                static_cast<std::int32_t>(static_cast<std::int64_t>(v));
-            break;
-    }
-}
-
-void store_from_i64(void* raw, ir::DType dt, std::int64_t flat, std::int64_t v) {
-    switch (dt) {
-        case ir::DType::F64:
-            static_cast<double*>(raw)[flat] = static_cast<double>(v);
-            break;
-        case ir::DType::F32:
-            static_cast<float*>(raw)[flat] =
-                static_cast<float>(static_cast<double>(v));
-            break;
-        case ir::DType::I64: static_cast<std::int64_t*>(raw)[flat] = v; break;
-        case ir::DType::I32:
-            static_cast<std::int32_t*>(raw)[flat] = static_cast<std::int32_t>(v);
-            break;
+        case ir::DType::F64: return store_strided<T, W, double>(raw, base, d, col, n);
+        case ir::DType::F32: return store_strided<T, W, float>(raw, base, d, col, n);
+        case ir::DType::I64: return store_strided<T, W, std::int64_t>(raw, base, d, col, n);
+        case ir::DType::I32: return store_strided<T, W, std::int32_t>(raw, base, d, col, n);
     }
 }
 
@@ -363,9 +368,9 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
         kern.tasklets.push_back(plan.node_to_plan[static_cast<std::size_t>(c)]);
     }
 
-    // Segment eligibility: every tasklet runs an untagged VM (so lanes move
-    // through raw storage) and is straight-line (so the vertical batch VMs
-    // apply).  Tagged-sig tasklets are excluded — batching them would
+    // Segment eligibility: every tasklet runs the untagged VM (so lanes move
+    // through raw storage) and is straight-line (so it can run at column
+    // width).  Tagged-sig tasklets are excluded — batching them would
     // re-introduce per-element tag dispatch for no gain.  Note integer
     // Div/Mod can never reach here: the throw-free gate above only admits
     // div/mod under the f64 feasibility proof.
@@ -890,93 +895,77 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
             saturating_add(instructions_used_, total * static_cast<__int128>(ntasklets));
     }
 
-    // 3.75. Segment (batched) execution: when the kernel is
-    // segment-eligible, the knob is on, and this launch's concrete lane
-    // windows are alias-safe, run the whole innermost extent per dispatch
-    // through the vertical batch VMs.  Falls through to the per-point loop
-    // below (still a committed launch — same results, point at a time)
-    // when any condition fails.
+    // 4. The launch loop.  The innermost level runs as segments of length
+    // L: its whole extent when the kernel is segment-eligible and this
+    // launch's concrete lane windows are alias-safe, otherwise L = 1 and
+    // the odometer covers every level.  Segments run in tiles (scratch stays
+    // cache-resident), and within a tile each tasklet in child order:
+    // gather -> untagged VM -> scatter per lane.  Tile-outer /
+    // tasklet-inner order preserves per-point semantics for the
+    // pointwise-aligned cross-tasklet dependencies the alias check admits.
+    // Width-1 segments run the scalar VM instantiation.
     const std::size_t inner = nparams - 1;
-    const std::int64_t seg_len = s.kcount[inner];
-    if (kern.segment_ok && config_.batch_segments && seg_len > 1 &&
-        segment_alias_safe(kern, nparams, seg_len)) {
-        run_segment_kernel(plan, kern, nparams, seg_len);
+    const bool batch = kern.segment_ok && s.kcount[inner] > 1 &&
+                       segment_alias_safe(kern, nparams, s.kcount[inner]);
+    const std::int64_t seg_len = batch ? s.kcount[inner] : 1;
+    const std::size_t outer = batch ? inner : nparams;  // odometer levels
+    if (batch) {
         plans_->note_segment_launch();
-        return true;
+        // With segments, a level-k advance also skips the inner traversal
+        // the segment covered.
+        for (std::size_t l = 0; l < nlanes; ++l)
+            for (std::size_t k = 0; k < inner; ++k)
+                s.lane_delta[l * nparams + k] +=
+                    s.lane_delta[l * nparams + inner] * (seg_len - 1);
+    }
+    constexpr std::int64_t kTile = 256;
+    const auto width = static_cast<std::size_t>(std::min(seg_len, kTile));
+    const auto grow = [](auto& arena, std::size_t size) {
+        if (arena.size() < size) arena.resize(size);
+    };
+    for (const int t : kern.tasklets) {
+        const TaskletPlan& tp = plan.tasklet_plans[static_cast<std::size_t>(t)];
+        const auto nslots = static_cast<std::size_t>(tp.prog->slot_count());
+        const auto nregs = static_cast<std::size_t>(tp.prog->reg_count());
+        if (tp.sig == VMSig::F64) grow(s.arena<double>(), (nslots + nregs) * width);
+        else if (tp.sig == VMSig::I64) grow(s.arena<std::int64_t>(), (nslots + nregs) * width);
+        else {
+            grow(s.slots, nslots);
+            grow(s.regs, nregs);
+        }
     }
 
-    // 4. The loop.  Per point: gather -> VM -> scatter per tasklet through
-    // the lanes; advancing to the next point is one add per lane.
     s.kiter.assign(nparams, 0);
     for (;;) {
-        std::size_t a = 0;
-        for (std::size_t t = 0; t < ntasklets; ++t) {
-            const TaskletPlan& tp =
-                plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
-            const std::size_t nin = tp.inputs.size();
-            const std::size_t nout = tp.outputs.size();
-            if (tp.sig == VMSig::F64) {
-                const std::size_t nslots = static_cast<std::size_t>(tp.prog->slot_count());
-                const std::size_t nregs = static_cast<std::size_t>(tp.prog->reg_count());
-                if (s.f64_slots.size() < nslots) s.f64_slots.resize(nslots);
-                std::fill_n(s.f64_slots.begin(), nslots, 0.0);
-                if (s.f64_regs.size() < nregs) s.f64_regs.resize(nregs);
-                for (std::size_t i = 0; i < nin; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    if (lane.slot >= 0)
-                        s.f64_slots[static_cast<std::size_t>(lane.slot)] =
-                            load_to_f64(lane.raw, lane.dt, lane.offset);
+        for (std::int64_t j0 = 0; j0 < seg_len; j0 += kTile) {
+            const std::int64_t tn = std::min(kTile, seg_len - j0);
+            std::size_t a = 0;  // first lane of the current tasklet
+            for (const int t : kern.tasklets) {
+                const TaskletPlan& tp = plan.tasklet_plans[static_cast<std::size_t>(t)];
+                constexpr std::int64_t kCols = TaskletProgram::kColumns;
+                switch (tp.sig) {
+                    case VMSig::F64:
+                        if (batch) run_kernel_tasklet<double, kCols>(tp, a, nparams, j0, tn);
+                        else run_kernel_tasklet<double, 1>(tp, a, nparams, 0, 1);
+                        break;
+                    case VMSig::I64:
+                        if (batch) run_kernel_tasklet<std::int64_t, kCols>(tp, a, nparams, j0, tn);
+                        else run_kernel_tasklet<std::int64_t, 1>(tp, a, nparams, 0, 1);
+                        break;
+                    case VMSig::Tagged:  // never segment-eligible: always one point
+                        run_kernel_tagged(tp, a);
+                        break;
                 }
-                tp.prog->execute_f64(s.f64_slots.data(), s.f64_regs.data());
-                for (std::size_t i = 0; i < nout; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    store_from_f64(lane.raw, lane.dt, lane.offset,
-                                   s.f64_slots[static_cast<std::size_t>(lane.slot)]);
-                }
-            } else if (tp.sig == VMSig::I64) {
-                const std::size_t nslots = static_cast<std::size_t>(tp.prog->slot_count());
-                const std::size_t nregs = static_cast<std::size_t>(tp.prog->reg_count());
-                if (s.i64_slots.size() < nslots) s.i64_slots.resize(nslots);
-                std::fill_n(s.i64_slots.begin(), nslots, std::int64_t{0});
-                if (s.i64_regs.size() < nregs) s.i64_regs.resize(nregs);
-                for (std::size_t i = 0; i < nin; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    if (lane.slot >= 0)
-                        s.i64_slots[static_cast<std::size_t>(lane.slot)] =
-                            load_to_i64(lane.raw, lane.dt, lane.offset);
-                }
-                tp.prog->execute_i64(s.i64_slots.data(), s.i64_regs.data());
-                for (std::size_t i = 0; i < nout; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    store_from_i64(lane.raw, lane.dt, lane.offset,
-                                   s.i64_slots[static_cast<std::size_t>(lane.slot)]);
-                }
-            } else {
-                const std::size_t nslots = static_cast<std::size_t>(tp.prog->slot_count());
-                const std::size_t nregs = static_cast<std::size_t>(tp.prog->reg_count());
-                if (s.slots.size() < nslots) s.slots.resize(nslots);
-                std::fill_n(s.slots.begin(), nslots, Value{});
-                if (s.regs.size() < nregs) s.regs.resize(nregs);
-                for (std::size_t i = 0; i < nin; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    if (lane.slot >= 0)
-                        s.slots[static_cast<std::size_t>(lane.slot)] =
-                            lane.buf->load(lane.offset);
-                }
-                tp.prog->execute_compiled(s.slots.data(), s.regs.data());
-                for (std::size_t i = 0; i < nout; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    lane.buf->store(lane.offset,
-                                    s.slots[static_cast<std::size_t>(lane.slot)]);
-                }
+                a += tp.inputs.size() + tp.outputs.size();
             }
         }
-        // Odometer: find the deepest level that advances; the precomputed
-        // delta folds that advance plus every deeper level's reset into one
-        // add per lane.
-        std::size_t k = nparams - 1;
+        // Odometer over the outer levels: find the deepest level that
+        // advances; the precomputed delta folds that advance plus every
+        // deeper level's reset into one add per lane.
+        if (outer == 0) return true;
+        std::size_t k = outer - 1;
         for (;;) {
-            if (++s.kiter[k] < static_cast<std::int64_t>(s.kcount[k])) break;
+            if (++s.kiter[k] < s.kcount[k]) break;
             s.kiter[k] = 0;
             if (k == 0) return true;  // every level wrapped: done
             --k;
@@ -984,6 +973,49 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
         for (std::size_t l = 0; l < nlanes; ++l)
             s.lanes[l].offset += s.lane_delta[l * nparams + k];
     }
+}
+
+template <typename T, std::int64_t W>
+void Interpreter::run_kernel_tasklet(const TaskletPlan& tp, std::size_t a, std::size_t nparams,
+                                     std::int64_t j0, std::int64_t n) {
+    Scratch& s = scratch_;
+    const std::int64_t w = W == 1 ? 1 : n;
+    const std::int64_t nslots = tp.prog->slot_count();
+    T* cols = s.arena<T>().data();
+    std::fill_n(cols, nslots * w, T{0});
+    // Lane offsets stay at the segment's start point; lane addresses inside
+    // a segment are offset + j * inner-stride.  Width 1 touches the offsets
+    // themselves.
+    const auto stride = [&](std::size_t lane) {
+        return W == 1 ? 0 : s.lane_delta[lane * nparams + nparams - 1];
+    };
+    const std::size_t nin = tp.inputs.size();
+    for (std::size_t i = 0; i < nin; ++i) {
+        const Scratch::KernelLane& lane = s.lanes[a + i];
+        if (lane.slot < 0) continue;
+        const std::int64_t d = stride(a + i);
+        load_lanes<T, W>(cols + lane.slot * w, lane.raw, lane.dt, lane.offset + j0 * d, d, w);
+    }
+    tp.prog->execute_untagged<T, W>(cols, cols + nslots * w, w);
+    for (std::size_t i = nin; i < nin + tp.outputs.size(); ++i) {
+        const Scratch::KernelLane& lane = s.lanes[a + i];
+        const std::int64_t d = stride(a + i);
+        store_lanes<T, W>(lane.raw, lane.dt, lane.offset + j0 * d, d, cols + lane.slot * w, w);
+    }
+}
+
+void Interpreter::run_kernel_tagged(const TaskletPlan& tp, std::size_t a) {
+    Scratch& s = scratch_;
+    std::fill_n(s.slots.begin(), tp.prog->slot_count(), Value{});
+    const std::size_t nin = tp.inputs.size();
+    for (std::size_t i = a; i < a + nin; ++i)
+        if (s.lanes[i].slot >= 0)
+            s.slots[static_cast<std::size_t>(s.lanes[i].slot)] =
+                s.lanes[i].buf->load(s.lanes[i].offset);
+    tp.prog->execute_compiled(s.slots.data(), s.regs.data());
+    for (std::size_t i = a + nin; i < a + nin + tp.outputs.size(); ++i)
+        s.lanes[i].buf->store(s.lanes[i].offset,
+                              s.slots[static_cast<std::size_t>(s.lanes[i].slot)]);
 }
 
 bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t nparams,
@@ -1020,176 +1052,6 @@ bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t nparam
         }
     }
     return true;
-}
-
-void Interpreter::run_segment_kernel(const StatePlan& plan, const ScopeKernel& kern,
-                                     std::size_t nparams, std::int64_t seg_len) {
-    Scratch& s = scratch_;
-    const std::size_t nlanes = kern.accesses.size();
-    const std::size_t ntasklets = kern.tasklets.size();
-    const std::size_t inner = nparams - 1;
-
-    // Column arenas: tile the segment so scratch stays cache-resident, sized
-    // once for the largest program of each signature.  Tile-outer /
-    // tasklet-inner order: within a tile every tasklet sees its
-    // predecessors' stores for the whole tile — for pointwise-aligned
-    // dependencies (the only cross-lane interaction the alias check admits)
-    // that is exactly per-point order.
-    constexpr std::int64_t kTile = 256;
-    std::size_t f64_cols = 0, i64_cols = 0;
-    for (std::size_t t = 0; t < ntasklets; ++t) {
-        const TaskletPlan& tp = plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
-        const std::size_t cols = static_cast<std::size_t>(tp.prog->slot_count()) +
-                                 static_cast<std::size_t>(tp.prog->reg_count());
-        if (tp.sig == VMSig::F64) f64_cols = std::max(f64_cols, cols);
-        else i64_cols = std::max(i64_cols, cols);
-    }
-    const auto tile_sz = static_cast<std::size_t>(kTile);
-    if (s.seg_f64.size() < f64_cols * tile_sz) s.seg_f64.resize(f64_cols * tile_sz);
-    if (s.seg_i64.size() < i64_cols * tile_sz) s.seg_i64.resize(i64_cols * tile_sz);
-
-    // Lane offsets stay at the segment's start point; addresses inside a
-    // segment are offset + j * inner-stride.
-    s.kiter.assign(nparams, 0);
-    for (;;) {
-        for (std::int64_t j0 = 0; j0 < seg_len; j0 += kTile) {
-            const std::int64_t tn = std::min(kTile, seg_len - j0);
-            std::size_t a = 0;
-            for (std::size_t t = 0; t < ntasklets; ++t) {
-                const TaskletPlan& tp =
-                    plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
-                const std::size_t nin = tp.inputs.size();
-                const std::size_t nout = tp.outputs.size();
-                const auto nslots = static_cast<std::int64_t>(tp.prog->slot_count());
-                if (tp.sig == VMSig::F64) {
-                    double* cols = s.seg_f64.data();
-                    double* regs = cols + nslots * tn;
-                    std::fill_n(cols, static_cast<std::size_t>(nslots * tn), 0.0);
-                    for (std::size_t i = 0; i < nin; ++i, ++a) {
-                        const Scratch::KernelLane& lane = s.lanes[a];
-                        if (lane.slot < 0) continue;
-                        const std::int64_t d = s.lane_delta[a * nparams + inner];
-                        const std::int64_t base = lane.offset + j0 * d;
-                        double* col = cols + static_cast<std::int64_t>(lane.slot) * tn;
-                        if (lane.dt == ir::DType::F64) {
-                            const double* src = static_cast<const double*>(lane.raw) + base;
-                            for (std::int64_t j = 0; j < tn; ++j) col[j] = src[j * d];
-                        } else {
-                            const float* src = static_cast<const float*>(lane.raw) + base;
-                            for (std::int64_t j = 0; j < tn; ++j)
-                                col[j] = static_cast<double>(src[j * d]);
-                        }
-                    }
-                    tp.prog->execute_f64_batch(cols, regs, tn);
-                    for (std::size_t i = 0; i < nout; ++i, ++a) {
-                        const Scratch::KernelLane& lane = s.lanes[a];
-                        const std::int64_t d = s.lane_delta[a * nparams + inner];
-                        const std::int64_t base = lane.offset + j0 * d;
-                        const double* col = cols + static_cast<std::int64_t>(lane.slot) * tn;
-                        switch (lane.dt) {
-                            case ir::DType::F64: {
-                                double* dst = static_cast<double*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j) dst[j * d] = col[j];
-                                break;
-                            }
-                            case ir::DType::F32: {
-                                float* dst = static_cast<float*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] = static_cast<float>(col[j]);
-                                break;
-                            }
-                            case ir::DType::I64: {
-                                std::int64_t* dst = static_cast<std::int64_t*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] = static_cast<std::int64_t>(col[j]);
-                                break;
-                            }
-                            case ir::DType::I32: {
-                                std::int32_t* dst = static_cast<std::int32_t*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] = static_cast<std::int32_t>(
-                                        static_cast<std::int64_t>(col[j]));
-                                break;
-                            }
-                        }
-                    }
-                } else {  // VMSig::I64 — segment_ok excludes Tagged
-                    std::int64_t* cols = s.seg_i64.data();
-                    std::int64_t* regs = cols + nslots * tn;
-                    std::fill_n(cols, static_cast<std::size_t>(nslots * tn), std::int64_t{0});
-                    for (std::size_t i = 0; i < nin; ++i, ++a) {
-                        const Scratch::KernelLane& lane = s.lanes[a];
-                        if (lane.slot < 0) continue;
-                        const std::int64_t d = s.lane_delta[a * nparams + inner];
-                        const std::int64_t base = lane.offset + j0 * d;
-                        std::int64_t* col = cols + static_cast<std::int64_t>(lane.slot) * tn;
-                        if (lane.dt == ir::DType::I64) {
-                            const std::int64_t* src =
-                                static_cast<const std::int64_t*>(lane.raw) + base;
-                            for (std::int64_t j = 0; j < tn; ++j) col[j] = src[j * d];
-                        } else {
-                            const std::int32_t* src =
-                                static_cast<const std::int32_t*>(lane.raw) + base;
-                            for (std::int64_t j = 0; j < tn; ++j)
-                                col[j] = static_cast<std::int64_t>(src[j * d]);
-                        }
-                    }
-                    tp.prog->execute_i64_batch(cols, regs, tn);
-                    for (std::size_t i = 0; i < nout; ++i, ++a) {
-                        const Scratch::KernelLane& lane = s.lanes[a];
-                        const std::int64_t d = s.lane_delta[a * nparams + inner];
-                        const std::int64_t base = lane.offset + j0 * d;
-                        const std::int64_t* col =
-                            cols + static_cast<std::int64_t>(lane.slot) * tn;
-                        switch (lane.dt) {
-                            case ir::DType::F64: {
-                                double* dst = static_cast<double*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] = static_cast<double>(col[j]);
-                                break;
-                            }
-                            case ir::DType::F32: {
-                                // Via double: mirrors Buffer::store's
-                                // as_double() double-rounding.
-                                float* dst = static_cast<float*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] =
-                                        static_cast<float>(static_cast<double>(col[j]));
-                                break;
-                            }
-                            case ir::DType::I64: {
-                                std::int64_t* dst = static_cast<std::int64_t*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j) dst[j * d] = col[j];
-                                break;
-                            }
-                            case ir::DType::I32: {
-                                std::int32_t* dst = static_cast<std::int32_t*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] = static_cast<std::int32_t>(col[j]);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Outer odometer (levels [0, inner)); a level-k advance moves every
-        // lane from this segment's start to the next segment's start: the
-        // per-point delta for level k (which folds the resets of all deeper
-        // levels, including the untraveled inner one) plus the inner
-        // traversal the per-point path would have performed.
-        if (inner == 0) return;
-        std::size_t k = inner - 1;
-        for (;;) {
-            if (++s.kiter[k] < s.kcount[k]) break;
-            s.kiter[k] = 0;
-            if (k == 0) return;
-            --k;
-        }
-        for (std::size_t l = 0; l < nlanes; ++l)
-            s.lanes[l].offset += s.lane_delta[l * nparams + k] +
-                                 s.lane_delta[l * nparams + inner] * (seg_len - 1);
-    }
 }
 
 Buffer& Interpreter::ensure_buffer(const ir::SDFG& sdfg, Context& ctx, const std::string& name) {
@@ -1429,9 +1291,11 @@ void Interpreter::execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State&
         s.cache_plan = &plan;
         s.cache_ctx = &ctx;
     }
-    if (tp.sig != VMSig::Tagged && config_.specialize &&
-        execute_tasklet_untagged(sdfg, plan, tp, ctx))
-        return;
+    if (config_.specialize) {
+        if (tp.sig == VMSig::F64 && execute_tasklet_untagged<double>(sdfg, plan, tp, ctx)) return;
+        if (tp.sig == VMSig::I64 && execute_tasklet_untagged<std::int64_t>(sdfg, plan, tp, ctx))
+            return;
+    }
 
     const std::size_t nslots = static_cast<std::size_t>(tp.prog->slot_count());
     const std::size_t nregs = static_cast<std::size_t>(tp.prog->reg_count());
@@ -1455,6 +1319,7 @@ void Interpreter::execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State&
     for (const AccessPlan& ap : tp.outputs) plan_scatter(sdfg, ctx, plan, tp, ap, s.slots.data());
 }
 
+template <typename T>
 bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan& plan,
                                            const TaskletPlan& tp, Context& ctx) {
     // Twin of execute_tasklet_planned for tp.sig != Tagged nodes outside
@@ -1462,8 +1327,8 @@ bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan
     // classification), so gathers and scatters move raw values between
     // bounds-checked flat indices and the untagged slot array, converting
     // per the buffer's runtime dtype (the exact Buffer::load/store
-    // expressions — see the conversion helpers).  Evaluation order — inputs
-    // in edge order, declared-input checks, program, outputs in edge order —
+    // expressions — see the lane movers).  Evaluation order — inputs in
+    // edge order, declared-input checks, program, outputs in edge order —
     // matches the tagged path instruction for instruction, including lazy
     // output-buffer allocation at each scatter (an earlier output's bounds
     // error must leave later outputs unallocated, exactly like the tagged
@@ -1473,18 +1338,12 @@ bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan
     // untagged result whatever their dtype, so they can never force a
     // fallback.
     Scratch& s = scratch_;
-    const bool is_f64 = tp.sig == VMSig::F64;
-    const std::size_t nslots = static_cast<std::size_t>(tp.prog->slot_count());
-    const std::size_t nregs = static_cast<std::size_t>(tp.prog->reg_count());
-    if (is_f64) {
-        if (s.f64_slots.size() < nslots) s.f64_slots.resize(nslots);
-        std::fill_n(s.f64_slots.begin(), nslots, 0.0);
-        if (s.f64_regs.size() < nregs) s.f64_regs.resize(nregs);
-    } else {
-        if (s.i64_slots.size() < nslots) s.i64_slots.resize(nslots);
-        std::fill_n(s.i64_slots.begin(), nslots, std::int64_t{0});
-        if (s.i64_regs.size() < nregs) s.i64_regs.resize(nregs);
-    }
+    const auto nslots = static_cast<std::size_t>(tp.prog->slot_count());
+    std::vector<T>& arena = s.arena<T>();
+    const std::size_t need = nslots + static_cast<std::size_t>(tp.prog->reg_count());
+    if (arena.size() < need) arena.resize(need);
+    T* slots = arena.data();
+    std::fill_n(slots, nslots, T{0});
 
     auto& idx = s.idx;
     auto flat_of = [&](Buffer& buf, const AccessPlan& ap) {
@@ -1494,36 +1353,25 @@ bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan
         return buf.flat_index(idx, ap.memlet->data);
     };
 
-    s.input_counts.resize(tp.inputs.size());
-    for (std::size_t i = 0; i < tp.inputs.size(); ++i) {
-        const AccessPlan& ap = tp.inputs[i];
+    for (const AccessPlan& ap : tp.inputs) {
         Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
-        if (ir::dtype_is_float(buf.dtype()) != is_f64)
+        if (ir::dtype_is_float(buf.dtype()) != std::is_same_v<T, double>)
             return false;  // input dtype drift: tagged path handles it
-        const void* data = raw_data_of(buf);
         const std::int64_t flat = flat_of(buf, ap);
-        if (ap.slot_base >= 0) {
-            const auto slot = static_cast<std::size_t>(ap.slot_base);
-            if (is_f64) s.f64_slots[slot] = load_to_f64(data, buf.dtype(), flat);
-            else s.i64_slots[slot] = load_to_i64(data, buf.dtype(), flat);
-        }
-        s.input_counts[i] = 1;
+        if (ap.slot_base >= 0)
+            load_lanes<T, 1>(slots + ap.slot_base, raw_data_of(buf), buf.dtype(), flat, 0, 1);
     }
+    // Every gather delivered exactly one lane.
     for (const TaskletPlan::InputCheck& check : tp.input_checks)
-        if (check.input_index < 0 ||
-            s.input_counts[static_cast<std::size_t>(check.input_index)] < check.width)
+        if (check.input_index < 0 || check.width > 1)
             throw common::Error("tasklet: missing input connector '" + check.conn + "'");
 
-    if (is_f64) tp.prog->execute_f64(s.f64_slots.data(), s.f64_regs.data());
-    else tp.prog->execute_i64(s.i64_slots.data(), s.i64_regs.data());
+    tp.prog->execute_untagged<T, 1>(slots, slots + nslots);
 
     for (const AccessPlan& ap : tp.outputs) {
         Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
-        void* data = raw_data_of(buf);
         const std::int64_t flat = flat_of(buf, ap);
-        const auto slot = static_cast<std::size_t>(ap.slot_base);
-        if (is_f64) store_from_f64(data, buf.dtype(), flat, s.f64_slots[slot]);
-        else store_from_i64(data, buf.dtype(), flat, s.i64_slots[slot]);
+        store_lanes<T, 1>(raw_data_of(buf), buf.dtype(), flat, 0, slots + ap.slot_base, 1);
     }
     return true;
 }

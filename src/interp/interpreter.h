@@ -70,17 +70,21 @@
 // output containers may be any dtype — the store-side conversions mirror the
 // tagged VM's Buffer::store casts exactly.  Inside a kernel an untagged
 // tasklet's inner loop runs over raw Buffer storage with per-lane dtype
-// conversion.  On top of that sits the *segment* tier: a kernel whose
-// tasklets are all untagged and straight-line (no branches, no traps) can
-// run its whole stride-1 innermost extent per dispatch through the vertical
-// batch VMs (TaskletProgram::execute_*_batch) — auto-vectorizable column
-// loops instead of per-point dispatch.  Each launch checks the concrete lane
-// windows for unsafe aliasing (vertical execution reorders loads/stores
-// across points) and silently degrades to the per-point kernel loop when
-// segments could overlap.  Classification lives in the shared plan (keyed,
-// like everything else, on plan uid + mutation epoch); ExecConfig::specialize
-// and ExecConfig::batch_segments select what execution uses, and results are
-// byte-identical under every toggle combination.
+// conversion.
+//
+// Every committed kernel launch runs one loop: the innermost level as
+// segments of length L, the outer levels as an odometer.  One untagged VM
+// (TaskletProgram::execute_untagged) serves every L — L = 1 runs its
+// compile-time scalar instantiation, L > 1 runs one auto-vectorizable
+// column loop per instruction.  L is the whole inner extent when the
+// kernel's tasklets are all untagged and straight-line (ScopeKernel::
+// segment_ok), the extent is longer than 1 and the launch's concrete lane
+// windows cannot alias unsafely (column execution reorders loads/stores
+// across points); otherwise L = 1.  Batching ties at L = 1 and wins from
+// L = 2 on, so this rule needs no threshold.  Classification lives in the
+// shared plan (keyed, like everything else, on plan uid + mutation epoch);
+// ExecConfig::specialize selects whether execution uses it, and results
+// are byte-identical either way.
 //
 // Plan sharing across threads:
 //
@@ -98,6 +102,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -138,12 +143,6 @@ struct ExecConfig {
     /// — results are byte-identical either way (the determinism contract),
     /// so this knob exists for benchmarking and differential self-checks.
     bool specialize = true;
-    /// Run segment-eligible kernels through the batched vertical VMs (whole
-    /// stride-1 innermost extent per dispatch) instead of the per-point
-    /// kernel loop.  Only meaningful with specialize; results are
-    /// byte-identical either way, so this knob exists for benchmarking and
-    /// differential self-checks.
-    bool batch_segments = true;
     /// Record def-use pair coverage (see feedback/coverage.h) into the map
     /// installed via Interpreter::set_coverage.  Marking is charged at
     /// scope-launch granularity from tier-invariant point counts, so the
@@ -302,8 +301,8 @@ struct ScopeKernel {
     std::vector<int> tasklets;           ///< tasklet_plans indices, child order.
     std::vector<KernelAccess> accesses;  ///< Grouped by tasklet, inputs first.
     /// Segment-eligible: every tasklet selected an untagged signature and is
-    /// straight-line, so the innermost extent can execute through the batch
-    /// VMs.  Each launch still checks the concrete lane windows for unsafe
+    /// straight-line, so the innermost extent can execute at column width.
+    /// Each launch still checks the concrete lane windows for unsafe
     /// aliasing before batching (see execute_scope_kernel).
     bool segment_ok = false;
 };
@@ -425,39 +424,41 @@ private:
     /// path, so step-0 / unbound-symbol errors surface identically.
     bool execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& plan, const ScopePlan& sp,
                               const ScopeKernel& kern, Context& ctx);
-    /// Whether this launch's concrete lane windows permit vertical (batched)
-    /// execution of the innermost extent.  Vertical execution reorders
+    /// Whether this launch's concrete lane windows permit running the
+    /// innermost extent as one segment.  Column execution reorders
     /// loads/stores across points, so every (write, other) lane pair on the
     /// same buffer must either be pointwise-aligned — same start offset and
     /// same nonzero inner stride, so the pair only ever interacts at equal
     /// inner positions — or cover disjoint address windows.  In particular a
     /// stride-0 in-place update (x = f(x) broadcast over the segment) is a
-    /// sequential dependency and stays on the per-point loop.  Reads scratch
-    /// lane state set up by execute_scope_kernel.
+    /// sequential dependency and runs at width 1.  Reads scratch lane state
+    /// set up by execute_scope_kernel.
     bool segment_alias_safe(const ScopeKernel& kern, std::size_t nparams,
                             std::int64_t seg_len) const;
-    /// The batched inner loop of a committed, alias-safe launch: iterates
-    /// the outer levels, and per segment runs each tasklet's whole innermost
-    /// extent through the vertical VMs in tiles (gather columns -> batch VM
-    /// -> scatter columns, converting per lane dtype).  Tile-outer /
-    /// tasklet-inner order preserves per-point semantics for
-    /// pointwise-aligned cross-tasklet dependencies.  Must only be called
-    /// from execute_scope_kernel after footprint validation and fuel
-    /// charging; cannot throw (straight-line, throw-free programs by
+    /// One untagged tasklet of a committed launch: gather -> VM -> scatter
+    /// through lanes [a, a + accesses), converting per lane dtype.  W == 1
+    /// runs the one point at the lanes' offsets on the scalar VM (`j0` and
+    /// `n` unused); W == TaskletProgram::kColumns runs the `n` consecutive
+    /// inner points from inner position `j0` of a segment, one column loop
+    /// per instruction.  Cannot throw (throw-free programs by
     /// classification).
-    void run_segment_kernel(const StatePlan& plan, const ScopeKernel& kern, std::size_t nparams,
-                            std::int64_t seg_len);
+    template <typename T, std::int64_t W>
+    void run_kernel_tasklet(const TaskletPlan& tp, std::size_t a, std::size_t nparams,
+                            std::int64_t j0, std::int64_t n);
+    /// One point of a tagged-signature tasklet of a committed launch.
+    void run_kernel_tagged(const TaskletPlan& tp, std::size_t a);
     void execute_tasklet(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
                          Context& ctx);
     void execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State& state,
                                  const StatePlan& plan, const TaskletPlan& tp, Context& ctx);
-    /// Untagged twin of execute_tasklet_planned (tp.sig != Tagged only):
-    /// single-point gathers/scatters straight between raw Buffer storage and
-    /// a flat double/int64 slot array, converting per the lane's dtype — no
-    /// Value tags anywhere.  Returns false — before any store, with only
-    /// idempotent work done — when a caller-provided context buffer's dtype
-    /// drifted outside the signature's input family; the caller then runs
-    /// the tagged path, which handles any dtype.
+    /// Untagged twin of execute_tasklet_planned (T = double for VMSig::F64,
+    /// std::int64_t for VMSig::I64): single-point gathers/scatters straight
+    /// between raw Buffer storage and a flat T slot array, converting per
+    /// the lane's dtype — no Value tags anywhere.  Returns false — before
+    /// any store, with only idempotent work done — when a caller-provided
+    /// context buffer's dtype drifted outside the signature's input family;
+    /// the caller then runs the tagged path, which handles any dtype.
+    template <typename T>
     bool execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan& plan,
                                   const TaskletPlan& tp, Context& ctx);
     void execute_access_copies(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
@@ -546,18 +547,15 @@ private:
         };
         std::vector<ActiveParam> active_params;
 
-        // Untagged tasklet execution (TaskletPlan::sig != Tagged).
-        std::vector<double> f64_slots;          // connector lanes, raw doubles
-        std::vector<double> f64_regs;           // f64 VM register file
-        std::vector<std::int64_t> i64_slots;    // connector lanes, raw int64s
-        std::vector<std::int64_t> i64_regs;     // i64 VM register file
-
-        // Segment (batched) execution: column arenas for the vertical VMs —
-        // slot and register columns of one tile (slot s occupies
-        // [s*tile, s*tile + tile)).  Sized max(slot_count, ...) + reg columns
-        // per sig at launch time, reused across tiles and launches.
-        std::vector<double> seg_f64;
-        std::vector<std::int64_t> seg_i64;
+        /// Untagged VM arenas, one per element type: the slot columns then
+        /// the register columns of one tasklet execution (slot s occupies
+        /// [s*w, s*w + w) at width w; w = 1 outside segments).  Grown on
+        /// demand, reused across points, tiles and launches.
+        std::tuple<std::vector<double>, std::vector<std::int64_t>> columns;
+        template <typename T>
+        std::vector<T>& arena() {
+            return std::get<std::vector<T>>(columns);
+        }
 
         // Flat-stride kernel launch state (reused across launches).
         /// One access of the running kernel: its buffer, the raw storage

@@ -66,8 +66,8 @@ using PlanKey = std::tuple<std::uint64_t, std::uint64_t, const ir::State*>;
 /// i64) — once per built StatePlan.  The runtime fields count kernel
 /// launches: a *fallback* is a launch whose per-execution validation (rank or
 /// footprint) handed the scope back to the generic odometer; a *segment
-/// launch* is a committed launch that ran the batched vertical VM instead of
-/// the per-point kernel loop.  Counter values never influence results; they
+/// launch* is a committed launch that ran its innermost extent as one
+/// column-width segment instead of point by point.  Counter values never influence results; they
 /// exist for benchmarks and tuning.
 struct SpecStats {
     std::int64_t scopes_planned = 0;      ///< Map scopes classified.
@@ -154,9 +154,9 @@ public:
             .fetch_add(1, std::memory_order_relaxed);
     }
 
-    /// Counts one committed launch that executed batched segments (the
-    /// vertical VM) rather than the per-point kernel loop.  Called at most
-    /// once per scope execution (alongside note_kernel_launch(true)).
+    /// Counts one committed launch that executed column-width segments
+    /// rather than width-1 points.  Called at most once per scope execution
+    /// (alongside note_kernel_launch(true)).
     void note_segment_launch() {
         segment_launches_.fetch_add(1, std::memory_order_relaxed);
     }

@@ -1,10 +1,12 @@
 #include "interp/tasklet_lang.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <optional>
 #include <set>
+#include <type_traits>
 
 #include "common/error.h"
 #include "symbolic/expr.h"
@@ -331,58 +333,84 @@ private:
 
 // --- Shared scalar operator semantics -------------------------------------
 //
-// Both engines (AST walker + bytecode VM) call through these helpers so the
-// numeric model cannot drift between them.
+// Every engine (AST walker, constant folder, tagged VM, untagged VM) calls
+// through these helpers so the numeric model cannot drift between them.
+// ElemOps<T> is the per-element semantics of one representation; the tagged
+// helpers below pick the double or int64 flavour by tag.
 
 namespace {
+
+template <typename T>
+struct ElemOps;
+
+/// Per-element semantics of double values.
+template <>
+struct ElemOps<double> {
+    static constexpr bool kFloatOps = true;  ///< exp/log/sqrt/... are reachable.
+    static double neg(double a) { return -a; }
+    static double abs(double a) { return std::fabs(a); }
+    static double add(double a, double b) { return a + b; }
+    static double sub(double a, double b) { return a - b; }
+    static double mul(double a, double b) { return a * b; }
+    static double div(double a, double b) { return a / b; }
+    static double mod(double a, double b) { return std::fmod(a, b); }
+    static double min(double a, double b) { return std::fmin(a, b); }
+    static double max(double a, double b) { return std::fmax(a, b); }
+    static double cmp(double a) { return a; }
+};
+
+/// Per-element semantics of int64 values: two's-complement wraparound for
+/// add/sub/mul/neg/abs (signed overflow is undefined behaviour in C++, and
+/// replayed test cases or caller buffers can carry any int64), floor
+/// division/modulo that throw on a zero divisor, std::min/max.  Comparisons
+/// go through double because the tagged VM compares as_double() — identical
+/// for every operand, including magnitudes past 2^53 where the conversion
+/// rounds.  No float opcode is reachable (has_i64_variant).
+template <>
+struct ElemOps<std::int64_t> {
+    using I = std::int64_t;
+    using U = std::uint64_t;
+    static constexpr bool kFloatOps = false;
+    static I neg(I a) { return static_cast<I>(U{0} - static_cast<U>(a)); }
+    static I abs(I a) { return a < 0 ? neg(a) : a; }
+    static I add(I a, I b) { return static_cast<I>(static_cast<U>(a) + static_cast<U>(b)); }
+    static I sub(I a, I b) { return static_cast<I>(static_cast<U>(a) - static_cast<U>(b)); }
+    static I mul(I a, I b) { return static_cast<I>(static_cast<U>(a) * static_cast<U>(b)); }
+    static I div(I a, I b) { return sym::floordiv_i64(a, b); }
+    static I mod(I a, I b) { return sym::floormod_i64(a, b); }
+    static I min(I a, I b) { return std::min(a, b); }
+    static I max(I a, I b) { return std::max(a, b); }
+    static double cmp(I a) { return static_cast<double>(a); }
+};
+
+using FOps = ElemOps<double>;
+using IOps = ElemOps<std::int64_t>;
 
 inline Value make_bool(bool b) { return Value::from_int(b ? 1 : 0); }
 
 inline Value op_neg(const Value& a) {
-    return a.is_float ? Value::from_double(-a.f) : Value::from_int(-a.i);
+    return a.is_float ? Value::from_double(FOps::neg(a.f)) : Value::from_int(IOps::neg(a.i));
 }
 
 inline Value op_abs(const Value& a) {
-    return a.is_float ? Value::from_double(std::fabs(a.f)) : Value::from_int(a.i < 0 ? -a.i : a.i);
+    return a.is_float ? Value::from_double(FOps::abs(a.f)) : Value::from_int(IOps::abs(a.i));
 }
 
-inline Value op_add(const Value& a, const Value& b) {
-    return (a.is_float || b.is_float) ? Value::from_double(a.as_double() + b.as_double())
-                                      : Value::from_int(a.i + b.i);
+/// Mixed operands promote to double; two ints stay int.
+template <double (*F)(double, double), std::int64_t (*I)(std::int64_t, std::int64_t)>
+inline Value op_binary(const Value& a, const Value& b) {
+    return (a.is_float || b.is_float) ? Value::from_double(F(a.as_double(), b.as_double()))
+                                      : Value::from_int(I(a.i, b.i));
 }
 
-inline Value op_sub(const Value& a, const Value& b) {
-    return (a.is_float || b.is_float) ? Value::from_double(a.as_double() - b.as_double())
-                                      : Value::from_int(a.i - b.i);
-}
-
-inline Value op_mul(const Value& a, const Value& b) {
-    return (a.is_float || b.is_float) ? Value::from_double(a.as_double() * b.as_double())
-                                      : Value::from_int(a.i * b.i);
-}
-
-inline Value op_div(const Value& a, const Value& b) {
-    if (a.is_float || b.is_float) return Value::from_double(a.as_double() / b.as_double());
-    return Value::from_int(sym::floordiv_i64(a.i, b.i));
-}
-
-inline Value op_mod(const Value& a, const Value& b) {
-    if (a.is_float || b.is_float)
-        return Value::from_double(std::fmod(a.as_double(), b.as_double()));
-    return Value::from_int(sym::floormod_i64(a.i, b.i));
-}
-
-inline Value op_min(const Value& a, const Value& b) {
-    return (a.is_float || b.is_float)
-               ? Value::from_double(std::fmin(a.as_double(), b.as_double()))
-               : Value::from_int(std::min(a.i, b.i));
-}
-
-inline Value op_max(const Value& a, const Value& b) {
-    return (a.is_float || b.is_float)
-               ? Value::from_double(std::fmax(a.as_double(), b.as_double()))
-               : Value::from_int(std::max(a.i, b.i));
-}
+using V = const Value&;
+inline Value op_add(V a, V b) { return op_binary<FOps::add, IOps::add>(a, b); }
+inline Value op_sub(V a, V b) { return op_binary<FOps::sub, IOps::sub>(a, b); }
+inline Value op_mul(V a, V b) { return op_binary<FOps::mul, IOps::mul>(a, b); }
+inline Value op_div(V a, V b) { return op_binary<FOps::div, IOps::div>(a, b); }
+inline Value op_mod(V a, V b) { return op_binary<FOps::mod, IOps::mod>(a, b); }
+inline Value op_min(V a, V b) { return op_binary<FOps::min, IOps::min>(a, b); }
+inline Value op_max(V a, V b) { return op_binary<FOps::max, IOps::max>(a, b); }
 
 }  // namespace
 
@@ -1042,335 +1070,126 @@ void TaskletProgram::execute_compiled(Value* slots, Value* regs) const {
     }
 }
 
-void TaskletProgram::execute_f64(double* slots, double* regs) const {
-    const BCInstr* code = bytecode_.data();
-    const std::size_t n = bytecode_.size();
-    const double* consts = f64consts_.data();
-    std::size_t pc = 0;
-    while (pc < n) {
-        const BCInstr& in = code[pc];
-        switch (in.op) {
-            case BC::Const: regs[in.dst] = consts[in.a]; break;
-            case BC::LoadSlot: regs[in.dst] = slots[in.a]; break;
-            case BC::StoreSlot: slots[in.a] = regs[in.b]; break;
-            case BC::Bool: regs[in.dst] = regs[in.a] != 0.0 ? 1.0 : 0.0; break;
-            case BC::Trap:
-                // Feasibility analysis rejects programs with traps; keep the
-                // tagged VM's error for defense in depth.
-                throw common::Error("tasklet: unbound connector '" +
-                                    var_names_[static_cast<std::size_t>(in.a)] + "'");
-            case BC::Jump: pc = static_cast<std::size_t>(in.a); continue;
-            case BC::JumpIfFalse:
-                if (regs[in.a] == 0.0) { pc = static_cast<std::size_t>(in.b); continue; }
-                break;
-            case BC::JumpIfTrue:
-                if (regs[in.a] != 0.0) { pc = static_cast<std::size_t>(in.b); continue; }
-                break;
-            case BC::Neg: regs[in.dst] = -regs[in.a]; break;
-            case BC::Not: regs[in.dst] = regs[in.a] == 0.0 ? 1.0 : 0.0; break;
-            case BC::Abs: regs[in.dst] = std::fabs(regs[in.a]); break;
-            case BC::Exp: regs[in.dst] = std::exp(regs[in.a]); break;
-            case BC::Log: regs[in.dst] = std::log(regs[in.a]); break;
-            case BC::Sqrt: regs[in.dst] = std::sqrt(regs[in.a]); break;
-            case BC::Sin: regs[in.dst] = std::sin(regs[in.a]); break;
-            case BC::Cos: regs[in.dst] = std::cos(regs[in.a]); break;
-            case BC::Tanh: regs[in.dst] = std::tanh(regs[in.a]); break;
-            case BC::Floor: regs[in.dst] = std::floor(regs[in.a]); break;
-            case BC::Ceil: regs[in.dst] = std::ceil(regs[in.a]); break;
-            case BC::Add: regs[in.dst] = regs[in.a] + regs[in.b]; break;
-            case BC::Sub: regs[in.dst] = regs[in.a] - regs[in.b]; break;
-            case BC::Mul: regs[in.dst] = regs[in.a] * regs[in.b]; break;
-            case BC::Div: regs[in.dst] = regs[in.a] / regs[in.b]; break;
-            case BC::Mod: regs[in.dst] = std::fmod(regs[in.a], regs[in.b]); break;
-            case BC::Lt: regs[in.dst] = regs[in.a] < regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Le: regs[in.dst] = regs[in.a] <= regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Gt: regs[in.dst] = regs[in.a] > regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Ge: regs[in.dst] = regs[in.a] >= regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Eq: regs[in.dst] = regs[in.a] == regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Ne: regs[in.dst] = regs[in.a] != regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Min: regs[in.dst] = std::fmin(regs[in.a], regs[in.b]); break;
-            case BC::Max: regs[in.dst] = std::fmax(regs[in.a], regs[in.b]); break;
-            case BC::Pow: regs[in.dst] = std::pow(regs[in.a], regs[in.b]); break;
-        }
-        ++pc;
-    }
-}
+// --- Untagged VM ---------------------------------------------------------------
+//
+// One dispatch loop over raw elements of type T (double or int64), with the
+// element semantics in ElemOps<T>.  At W == 1 the width is a compile-time
+// constant, so every column loop below folds to a single element: that
+// instantiation is the scalar per-point VM, and the only one that follows
+// jumps.  At W == kColumns each instruction runs as one branch-free loop over
+// `n` lanes with no cross-lane dependencies, which the compiler
+// auto-vectorizes; straight-line programs (is_straightline) never reach a
+// jump or trap there.
 
-void TaskletProgram::execute_i64(std::int64_t* slots, std::int64_t* regs) const {
-    // Untagged int64 twin of execute_compiled: feasibility (has_i64_variant)
-    // proved every runtime value stays integer-tagged, so each opcode mirrors
-    // the tagged VM's int path exactly.  Comparisons go through double
-    // conversion because the tagged VM compares as_double() — identical for
-    // every operand, including magnitudes past 2^53 where the conversion
-    // rounds (both engines then compare the same rounded doubles).
+template <typename T, std::int64_t W>
+void TaskletProgram::execute_untagged(T* slots, T* regs, std::int64_t n) const {
+    using E = ElemOps<T>;
+    constexpr bool kScalar = W == 1;
+    const std::int64_t w = kScalar ? 1 : n;
+    const T* consts;
+    if constexpr (std::is_same_v<T, double>) consts = f64consts_.data();
+    else consts = i64consts_.data();
+    const auto straight_line_only = [] {
+        if constexpr (!kScalar)
+            throw common::Error("tasklet: column VM on non-straight-line program");
+    };
+
     const BCInstr* code = bytecode_.data();
-    const std::size_t n = bytecode_.size();
-    const std::int64_t* consts = i64consts_.data();
+    const std::size_t size = bytecode_.size();
     std::size_t pc = 0;
-    while (pc < n) {
+    while (pc < size) {
         const BCInstr& in = code[pc];
+        T* d = regs + in.dst * w;
+        const T* a = regs + in.a * w;
+        const T* b = regs + in.b * w;
+        const auto map1 = [&](auto f) {
+            for (std::int64_t j = 0; j < w; ++j) d[j] = f(a[j]);
+        };
+        const auto map2 = [&](auto f) {
+            for (std::int64_t j = 0; j < w; ++j) d[j] = f(a[j], b[j]);
+        };
+        const auto test = [&](auto f) {
+            map2([&](T x, T y) { return f(E::cmp(x), E::cmp(y)) ? T{1} : T{0}; });
+        };
+        const auto float1 = [&](auto f) {
+            if constexpr (E::kFloatOps) map1(f);
+            else throw common::Error("tasklet: i64 engine reached a float opcode");
+        };
+        const auto float2 = [&](auto f) {
+            if constexpr (E::kFloatOps) map2(f);
+            else throw common::Error("tasklet: i64 engine reached a float opcode");
+        };
         switch (in.op) {
-            case BC::Const: regs[in.dst] = consts[in.a]; break;
-            case BC::LoadSlot: regs[in.dst] = slots[in.a]; break;
-            case BC::StoreSlot: slots[in.a] = regs[in.b]; break;
-            case BC::Bool: regs[in.dst] = regs[in.a] != 0 ? 1 : 0; break;
+            case BC::Const: {
+                const T c = consts[in.a];
+                for (std::int64_t j = 0; j < w; ++j) d[j] = c;
+                break;
+            }
+            case BC::LoadSlot: {
+                const T* src = slots + in.a * w;
+                for (std::int64_t j = 0; j < w; ++j) d[j] = src[j];
+                break;
+            }
+            case BC::StoreSlot: {
+                T* dst = slots + in.a * w;
+                for (std::int64_t j = 0; j < w; ++j) dst[j] = b[j];
+                break;
+            }
+            case BC::Bool: map1([](T x) { return x != T{0} ? T{1} : T{0}; }); break;
+            case BC::Not: map1([](T x) { return x == T{0} ? T{1} : T{0}; }); break;
             case BC::Trap:
                 // Feasibility rejects traps; keep the tagged VM's error for
                 // defense in depth.
                 throw common::Error("tasklet: unbound connector '" +
                                     var_names_[static_cast<std::size_t>(in.a)] + "'");
-            case BC::Jump: pc = static_cast<std::size_t>(in.a); continue;
+            case BC::Jump:
+                straight_line_only();
+                pc = static_cast<std::size_t>(in.a);
+                continue;
             case BC::JumpIfFalse:
-                if (regs[in.a] == 0) { pc = static_cast<std::size_t>(in.b); continue; }
+                straight_line_only();
+                if (regs[in.a] == T{0}) { pc = static_cast<std::size_t>(in.b); continue; }
                 break;
             case BC::JumpIfTrue:
-                if (regs[in.a] != 0) { pc = static_cast<std::size_t>(in.b); continue; }
+                straight_line_only();
+                if (regs[in.a] != T{0}) { pc = static_cast<std::size_t>(in.b); continue; }
                 break;
-            case BC::Neg: regs[in.dst] = -regs[in.a]; break;
-            case BC::Not: regs[in.dst] = regs[in.a] == 0 ? 1 : 0; break;
-            case BC::Abs: regs[in.dst] = regs[in.a] < 0 ? -regs[in.a] : regs[in.a]; break;
-            case BC::Exp: case BC::Log: case BC::Sqrt: case BC::Sin: case BC::Cos:
-            case BC::Tanh: case BC::Floor: case BC::Ceil: case BC::Pow:
-                throw common::Error("tasklet: i64 engine reached a float opcode");
-            case BC::Add: regs[in.dst] = regs[in.a] + regs[in.b]; break;
-            case BC::Sub: regs[in.dst] = regs[in.a] - regs[in.b]; break;
-            case BC::Mul: regs[in.dst] = regs[in.a] * regs[in.b]; break;
-            case BC::Div: regs[in.dst] = sym::floordiv_i64(regs[in.a], regs[in.b]); break;
-            case BC::Mod: regs[in.dst] = sym::floormod_i64(regs[in.a], regs[in.b]); break;
-            case BC::Lt:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) < static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Le:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) <= static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Gt:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) > static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Ge:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) >= static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Eq:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) == static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Ne:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) != static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Min: regs[in.dst] = std::min(regs[in.a], regs[in.b]); break;
-            case BC::Max: regs[in.dst] = std::max(regs[in.a], regs[in.b]); break;
+            case BC::Neg: map1([](T x) { return E::neg(x); }); break;
+            case BC::Abs: map1([](T x) { return E::abs(x); }); break;
+            case BC::Exp: float1([](double x) { return std::exp(x); }); break;
+            case BC::Log: float1([](double x) { return std::log(x); }); break;
+            case BC::Sqrt: float1([](double x) { return std::sqrt(x); }); break;
+            case BC::Sin: float1([](double x) { return std::sin(x); }); break;
+            case BC::Cos: float1([](double x) { return std::cos(x); }); break;
+            case BC::Tanh: float1([](double x) { return std::tanh(x); }); break;
+            case BC::Floor: float1([](double x) { return std::floor(x); }); break;
+            case BC::Ceil: float1([](double x) { return std::ceil(x); }); break;
+            case BC::Add: map2([](T x, T y) { return E::add(x, y); }); break;
+            case BC::Sub: map2([](T x, T y) { return E::sub(x, y); }); break;
+            case BC::Mul: map2([](T x, T y) { return E::mul(x, y); }); break;
+            case BC::Div: map2([](T x, T y) { return E::div(x, y); }); break;
+            case BC::Mod: map2([](T x, T y) { return E::mod(x, y); }); break;
+            case BC::Lt: test([](double x, double y) { return x < y; }); break;
+            case BC::Le: test([](double x, double y) { return x <= y; }); break;
+            case BC::Gt: test([](double x, double y) { return x > y; }); break;
+            case BC::Ge: test([](double x, double y) { return x >= y; }); break;
+            case BC::Eq: test([](double x, double y) { return x == y; }); break;
+            case BC::Ne: test([](double x, double y) { return x != y; }); break;
+            case BC::Min: map2([](T x, T y) { return E::min(x, y); }); break;
+            case BC::Max: map2([](T x, T y) { return E::max(x, y); }); break;
+            case BC::Pow: float2([](double x, double y) { return std::pow(x, y); }); break;
         }
         ++pc;
     }
 }
 
-// --- Batched (segment) execution ---------------------------------------------
-//
-// Vertical twins of the untagged engines for straight-line programs: one
-// pass over the bytecode, each instruction executing as a tight loop over a
-// column of `n` lanes.  The loops carry no cross-lane dependencies and no
-// branches, so the compiler auto-vectorizes them — this is the inner loop of
-// the interpreter's segment kernels.  Straight-line bytecode has no jumps or
-// traps by definition (is_straightline), so pc only ever advances.
-
-void TaskletProgram::execute_f64_batch(double* slots, double* regs, std::int64_t n) const {
-    for (const BCInstr& in : bytecode_) {
-        double* d = regs + static_cast<std::int64_t>(in.dst) * n;
-        const double* a = regs + static_cast<std::int64_t>(in.a) * n;
-        const double* b = regs + static_cast<std::int64_t>(in.b) * n;
-        switch (in.op) {
-            case BC::Const: {
-                const double c = f64consts_[static_cast<std::size_t>(in.a)];
-                for (std::int64_t j = 0; j < n; ++j) d[j] = c;
-                break;
-            }
-            case BC::LoadSlot: {
-                const double* src = slots + static_cast<std::int64_t>(in.a) * n;
-                for (std::int64_t j = 0; j < n; ++j) d[j] = src[j];
-                break;
-            }
-            case BC::StoreSlot: {
-                double* dst = slots + static_cast<std::int64_t>(in.a) * n;
-                for (std::int64_t j = 0; j < n; ++j) dst[j] = b[j];
-                break;
-            }
-            case BC::Bool:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] != 0.0 ? 1.0 : 0.0;
-                break;
-            case BC::Trap: case BC::Jump: case BC::JumpIfFalse: case BC::JumpIfTrue:
-                throw common::Error("tasklet: batch engine on non-straight-line program");
-            case BC::Neg:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = -a[j];
-                break;
-            case BC::Not:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] == 0.0 ? 1.0 : 0.0;
-                break;
-            case BC::Abs:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::fabs(a[j]);
-                break;
-            case BC::Exp:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::exp(a[j]);
-                break;
-            case BC::Log:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::log(a[j]);
-                break;
-            case BC::Sqrt:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::sqrt(a[j]);
-                break;
-            case BC::Sin:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::sin(a[j]);
-                break;
-            case BC::Cos:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::cos(a[j]);
-                break;
-            case BC::Tanh:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::tanh(a[j]);
-                break;
-            case BC::Floor:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::floor(a[j]);
-                break;
-            case BC::Ceil:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::ceil(a[j]);
-                break;
-            case BC::Add:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] + b[j];
-                break;
-            case BC::Sub:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] - b[j];
-                break;
-            case BC::Mul:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] * b[j];
-                break;
-            case BC::Div:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] / b[j];
-                break;
-            case BC::Mod:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::fmod(a[j], b[j]);
-                break;
-            case BC::Lt:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] < b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Le:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] <= b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Gt:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] > b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Ge:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] >= b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Eq:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] == b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Ne:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] != b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Min:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::fmin(a[j], b[j]);
-                break;
-            case BC::Max:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::fmax(a[j], b[j]);
-                break;
-            case BC::Pow:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::pow(a[j], b[j]);
-                break;
-        }
-    }
-}
-
-void TaskletProgram::execute_i64_batch(std::int64_t* slots, std::int64_t* regs,
-                                       std::int64_t n) const {
-    for (const BCInstr& in : bytecode_) {
-        std::int64_t* d = regs + static_cast<std::int64_t>(in.dst) * n;
-        const std::int64_t* a = regs + static_cast<std::int64_t>(in.a) * n;
-        const std::int64_t* b = regs + static_cast<std::int64_t>(in.b) * n;
-        switch (in.op) {
-            case BC::Const: {
-                const std::int64_t c = i64consts_[static_cast<std::size_t>(in.a)];
-                for (std::int64_t j = 0; j < n; ++j) d[j] = c;
-                break;
-            }
-            case BC::LoadSlot: {
-                const std::int64_t* src = slots + static_cast<std::int64_t>(in.a) * n;
-                for (std::int64_t j = 0; j < n; ++j) d[j] = src[j];
-                break;
-            }
-            case BC::StoreSlot: {
-                std::int64_t* dst = slots + static_cast<std::int64_t>(in.a) * n;
-                for (std::int64_t j = 0; j < n; ++j) dst[j] = b[j];
-                break;
-            }
-            case BC::Bool:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] != 0 ? 1 : 0;
-                break;
-            case BC::Trap: case BC::Jump: case BC::JumpIfFalse: case BC::JumpIfTrue:
-                throw common::Error("tasklet: batch engine on non-straight-line program");
-            case BC::Exp: case BC::Log: case BC::Sqrt: case BC::Sin: case BC::Cos:
-            case BC::Tanh: case BC::Floor: case BC::Ceil: case BC::Pow:
-                throw common::Error("tasklet: i64 engine reached a float opcode");
-            case BC::Neg:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = -a[j];
-                break;
-            case BC::Not:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] == 0 ? 1 : 0;
-                break;
-            case BC::Abs:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] < 0 ? -a[j] : a[j];
-                break;
-            case BC::Add:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] + b[j];
-                break;
-            case BC::Sub:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] - b[j];
-                break;
-            case BC::Mul:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] * b[j];
-                break;
-            case BC::Div:
-                // Unreachable from segment kernels (classification requires
-                // throw-free programs); kept exact for direct callers.
-                for (std::int64_t j = 0; j < n; ++j) d[j] = sym::floordiv_i64(a[j], b[j]);
-                break;
-            case BC::Mod:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = sym::floormod_i64(a[j], b[j]);
-                break;
-            case BC::Lt:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) < static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Le:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) <= static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Gt:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) > static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Ge:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) >= static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Eq:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) == static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Ne:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) != static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Min:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::min(a[j], b[j]);
-                break;
-            case BC::Max:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::max(a[j], b[j]);
-                break;
-        }
-    }
-}
+template void TaskletProgram::execute_untagged<double, 1>(double*, double*, std::int64_t) const;
+template void TaskletProgram::execute_untagged<double, TaskletProgram::kColumns>(
+    double*, double*, std::int64_t) const;
+template void TaskletProgram::execute_untagged<std::int64_t, 1>(std::int64_t*, std::int64_t*,
+                                                               std::int64_t) const;
+template void TaskletProgram::execute_untagged<std::int64_t, TaskletProgram::kColumns>(
+    std::int64_t*, std::int64_t*, std::int64_t) const;
 
 void TaskletProgram::execute_compiled(ConnectorEnv& env) const {
     // Same input contract as the reference engine.

@@ -14,22 +14,31 @@
 //
 // Numeric model: a value is either double or int64.  Mixed arithmetic
 // promotes to double; integer division/modulo use floor semantics to agree
-// with the symbolic layer.  Comparisons and logical operators yield int 0/1.
+// with the symbolic layer, and integer add/sub/mul/neg/abs wrap around in
+// two's complement.  Comparisons and logical operators yield int 0/1.
 //
-// Execution engines (one program, two implementations):
+// Execution engines (one program, three implementations):
 //
 //  * Reference: a recursive AST walker (`execute`) over a string-keyed
 //    ConnectorEnv.  Kept as the semantic ground truth for differential
 //    testing and selectable via ExecConfig::use_compiled_tasklets = false.
-//  * Compiled: at parse time every program is lowered to a flat bytecode
+//  * Tagged VM: at parse time every program is lowered to a flat bytecode
 //    register program (`execute_compiled`).  Lowering constant-folds pure
 //    subexpressions, resolves every connector reference to a fixed *slot*
 //    index (no string lookups at runtime), lowers short-circuit && / || and
 //    ternaries to conditional jumps, and turns statically-detectable
 //    unbound-lane reads into trap instructions so both engines fail
 //    identically.  The VM runs against caller-provided flat Value arrays
-//    (slots + registers) and performs no heap allocation — this is the
-//    innermost loop of every fuzzing trial (one execution per map point).
+//    (slots + registers) and performs no heap allocation.  It runs any
+//    program on any dtype.
+//  * Untagged VM: the same bytecode over raw doubles or int64s
+//    (`execute_untagged`), for programs whose parse-time analysis proves
+//    the tag redundant.  It is one template over element type and width:
+//    width 1 is the scalar per-point loop (and the only width that follows
+//    jumps); a runtime column width runs straight-line programs over many
+//    map points per instruction.
+//
+// One of the two VMs is the innermost loop of every fuzzing trial.
 //
 // Programs are parsed once and cached by the interpreter.
 #pragma once
@@ -109,70 +118,53 @@ public:
     /// `execute`, including missing-input errors.
     void execute_compiled(ConnectorEnv& env) const;
 
-    // --- Untagged f64 engine ---
+    // --- Untagged VM ---
 
-    /// Whether the untagged double-only variant of this program exists.
+    /// Whether the untagged double variant of this program exists.
     ///
     /// At parse time an abstract interpretation over the bytecode decides
     /// whether — assuming every input lane arrives as a double, which the
-    /// interpreter guarantees by selecting this engine only for tasklets
-    /// whose connectors all bind F64 containers — representing every runtime
-    /// value as a raw double is bit-identical to the tagged VM.  The checks:
-    /// no trap instructions; no Div/Mod whose operands could both be integers
-    /// (those take the floor-semantics int path in the tagged VM); and no
-    /// integer intermediate whose magnitude could exceed 2^50 (doubles
+    /// interpreter guarantees by selecting this variant only for tasklets
+    /// whose inputs all bind float-family containers — representing every
+    /// runtime value as a raw double is bit-identical to the tagged VM.  The
+    /// checks: no trap instructions; no Div/Mod whose operands could both be
+    /// integers (those take the floor-semantics int path in the tagged VM);
+    /// and no integer intermediate whose magnitude could exceed 2^50 (doubles
     /// represent such values exactly, so int and double arithmetic agree).
     /// Comparisons, min/max and promotions already evaluate through
     /// as_double() in the tagged VM, so 0/1 booleans and small integer
     /// constants are representation-equivalent.
     bool has_f64_variant() const { return f64_feasible_; }
 
-    /// Runs the untagged variant: same slot/register layout and bytecode as
-    /// execute_compiled, but `slots`/`regs` are raw doubles and no opcode
-    /// dispatches on a value tag.  Only valid when has_f64_variant().
-    void execute_f64(double* slots, double* regs) const;
-
-    // --- Untagged i64 engine ---
-
-    /// Whether the untagged int64-only variant of this program exists.
-    ///
-    /// The dual of has_f64_variant for integer-family containers: assuming
-    /// every input lane arrives as an int64 (the interpreter selects this
-    /// engine only for tasklets whose input connectors all bind I64/I32
-    /// containers), every runtime value provably stays integer-tagged in the
-    /// tagged VM — so representing it as a raw int64 is bit-identical.  The
-    /// checks: no trap instructions, no float constants, and no
-    /// float-producing opcode (exp/log/sqrt/sin/cos/tanh/floor/ceil/pow).
-    /// Add/Sub/Mul/Min/Max/Neg/Abs on two ints stay int; comparisons and
-    /// logic yield int 0/1; Div/Mod take the tagged VM's floor-semantics int
-    /// path, which execute_i64 mirrors including the divide-by-zero throw.
-    /// Comparisons in the tagged VM go through as_double(), so execute_i64
-    /// compares the double conversions — identical for any operand values.
+    /// Whether the untagged int64 variant of this program exists: the dual
+    /// of has_f64_variant for int-family (I64/I32) inputs.  Every runtime
+    /// value then provably stays integer-tagged in the tagged VM, so a raw
+    /// int64 is bit-identical.  The checks: no trap instructions, no float
+    /// constants, and no float-producing opcode
+    /// (exp/log/sqrt/sin/cos/tanh/floor/ceil/pow).
     bool has_i64_variant() const { return i64_feasible_; }
 
-    /// Runs the untagged int64 variant: raw int64 slots/registers, no value
-    /// tags.  Only valid when has_i64_variant().  Throws common::Error on
-    /// integer division/modulo by zero, exactly like the tagged VM.
-    void execute_i64(std::int64_t* slots, std::int64_t* regs) const;
-
-    // --- Batched (segment) execution ---
-
     /// Whether the bytecode is straight-line: no jump, no conditional jump,
-    /// no trap.  Only straight-line programs can execute vertically (one
-    /// instruction over a whole lane batch), so the interpreter's segment
-    /// kernels require this in addition to an untagged variant.
+    /// no trap.  Only straight-line programs run at column width.
     bool is_straightline() const { return straightline_; }
 
-    /// Vertical twin of execute_f64 for straight-line programs: `slots` and
-    /// `regs` are arrays of `n`-element columns (slot s occupies
-    /// slots[s*n .. s*n+n)), and every instruction executes as one loop over
-    /// the batch — the auto-vectorizable inner loops of the segment tier.
-    /// Only valid when has_f64_variant() && is_straightline().
-    void execute_f64_batch(double* slots, double* regs, std::int64_t n) const;
+    /// Width argument of execute_untagged: `n` lanes chosen at runtime.
+    static constexpr std::int64_t kColumns = 0;
 
-    /// Vertical twin of execute_i64 (same column layout).  Only valid when
-    /// has_i64_variant() && is_straightline().
-    void execute_i64_batch(std::int64_t* slots, std::int64_t* regs, std::int64_t n) const;
+    /// The untagged VM: the bytecode of execute_compiled over raw elements,
+    /// T = double (only valid when has_f64_variant()) or std::int64_t (only
+    /// valid when has_i64_variant()).  No opcode dispatches on a value tag.
+    ///
+    /// W == 1 runs one point: `slots` holds slot_count() elements with input
+    /// lanes loaded and the rest zeroed, `regs` holds reg_count() elements,
+    /// and `n` is ignored.  This is the scalar loop, and the only width
+    /// that follows jumps.  W == kColumns runs `n` points at once: slot s
+    /// occupies slots[s*n .. s*n+n), registers likewise, and every
+    /// instruction executes as one auto-vectorizable loop over the column.
+    /// Only valid when is_straightline().  Throws common::Error on integer
+    /// division or modulo by zero, exactly like the tagged VM.
+    template <typename T, std::int64_t W>
+    void execute_untagged(T* slots, T* regs, std::int64_t n = 1) const;
 
     /// Connectors for which the compiler emitted unbound-lane traps (a read
     /// of a non-input lane no earlier statement assigns).  The interpreter
@@ -251,8 +243,8 @@ private:
     // Compiled form (built once at parse time by TaskletCompiler).
     std::vector<BCInstr> bytecode_;
     std::vector<Value> consts_;
-    std::vector<double> f64consts_;  ///< consts_ as doubles (f64 engine).
-    std::vector<std::int64_t> i64consts_;  ///< consts_ as int64s (i64 engine).
+    std::vector<double> f64consts_;        ///< consts_ as doubles (untagged VM).
+    std::vector<std::int64_t> i64consts_;  ///< consts_ as int64s (untagged VM).
     bool f64_feasible_ = false;      ///< See has_f64_variant().
     bool i64_feasible_ = false;      ///< See has_i64_variant().
     bool straightline_ = false;      ///< See is_straightline().

@@ -103,6 +103,17 @@ DataflowNode node_from_json(const Json& j) {
     return n;
 }
 
+/// The remapped id a serialized reference at JSON path `path` names; a
+/// dangling reference is a located parse error, not a bare map::at.
+template <typename Id>
+Id resolve_id(const std::map<std::int64_t, Id>& ids, std::int64_t id, const std::string& path,
+              const char* kind) {
+    const auto it = ids.find(id);
+    if (it == ids.end())
+        throw common::ParseError(path + ": no " + kind + " " + std::to_string(id));
+    return it->second;
+}
+
 }  // namespace
 
 Json subset_to_json(const Subset& subset) {
@@ -204,7 +215,9 @@ SDFG sdfg_from_json(const Json& j) {
 
     // States: serialized ids may be sparse; remap.
     std::map<std::int64_t, StateId> state_map;
+    std::size_t state_index = 0;
     for (const auto& s : j.at("states").as_array()) {
+        const std::string state_path = "states[" + std::to_string(state_index++) + "]";
         const StateId sid = sdfg.add_state(s.at("name").as_string());
         state_map[s.at("id").as_int()] = sid;
         State& st = sdfg.state(sid);
@@ -218,28 +231,39 @@ SDFG sdfg_from_json(const Json& j) {
         // Advance the scope counter past deserialized scope ids.
         while (st.next_scope_id() <= max_scope) {
         }
+        std::size_t edge_index = 0;
         for (const auto& ej : s.at("edges").as_array()) {
+            const std::string edge_path =
+                state_path + ".edges[" + std::to_string(edge_index++) + "]";
             MemletEdge me;
             me.memlet.data = ej.at("data").as_string();
             me.memlet.subset = subset_from_json(ej.at("subset"));
             me.src_conn = ej.at("src_conn").as_string();
             me.dst_conn = ej.at("dst_conn").as_string();
-            st.graph().add_edge(node_map.at(ej.at("src").as_int()),
-                                node_map.at(ej.at("dst").as_int()), std::move(me));
+            st.graph().add_edge(
+                resolve_id(node_map, ej.at("src").as_int(), edge_path + ".src", "node"),
+                resolve_id(node_map, ej.at("dst").as_int(), edge_path + ".dst", "node"),
+                std::move(me));
         }
     }
 
-    sdfg.set_start_state(state_map.at(j.at("start_state").as_int()));
+    sdfg.set_start_state(
+        resolve_id(state_map, j.at("start_state").as_int(), "start_state", "state"));
 
+    std::size_t interstate_index = 0;
     for (const auto& ej : j.at("interstate_edges").as_array()) {
+        const std::string edge_path =
+            "interstate_edges[" + std::to_string(interstate_index++) + "]";
         InterstateEdge e;
         if (ej.contains("condition")) e.condition = sym::parse_bool(ej.at("condition").as_string());
         for (const auto& pair : ej.at("assignments").as_array()) {
             e.assignments.emplace_back(pair.as_array()[0].as_string(),
                                        expr_from_json(pair.as_array()[1]));
         }
-        sdfg.add_interstate_edge(state_map.at(ej.at("src").as_int()),
-                                 state_map.at(ej.at("dst").as_int()), std::move(e));
+        sdfg.add_interstate_edge(
+            resolve_id(state_map, ej.at("src").as_int(), edge_path + ".src", "state"),
+            resolve_id(state_map, ej.at("dst").as_int(), edge_path + ".dst", "state"),
+            std::move(e));
     }
     return sdfg;
 }

@@ -70,7 +70,14 @@ ir::SDFG load_job_program(const JobSpec& job) {
         throw common::Error("job specifies both a workload name and an SDFG path");
     if (!job.workload.empty()) return workloads::build_npbench_kernel(job.workload);
     if (job.sdfg_path.empty()) throw common::Error("job specifies neither workload nor SDFG path");
-    return ir::sdfg_from_json(Json::parse_file(job.sdfg_path));
+    // As in load_manifest_file: structural errors gain the file name.
+    try {
+        return ir::sdfg_from_json(Json::parse_file(job.sdfg_path));
+    } catch (const common::FileParseError&) {
+        throw;
+    } catch (const common::ParseError& e) {
+        throw common::FileParseError(job.sdfg_path, 0, common::error_detail(e));
+    }
 }
 
 std::vector<xform::TransformationPtr> job_passes(const JobSpec& job) {

@@ -8,6 +8,8 @@ namespace ff::sym {
 
 std::int64_t floordiv_i64(std::int64_t a, std::int64_t b) {
     if (b == 0) throw common::Error("symbolic evaluation: division by zero");
+    // INT64_MIN / -1 overflows (and traps on x86): wrap like negation.
+    if (b == -1) return static_cast<std::int64_t>(0ULL - static_cast<std::uint64_t>(a));
     std::int64_t q = a / b;
     if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
     return q;
@@ -15,6 +17,7 @@ std::int64_t floordiv_i64(std::int64_t a, std::int64_t b) {
 
 std::int64_t floormod_i64(std::int64_t a, std::int64_t b) {
     if (b == 0) throw common::Error("symbolic evaluation: modulo by zero");
+    if (b == -1) return 0;  // INT64_MIN % -1 overflows; every a is a multiple of -1.
     std::int64_t r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
     return r;

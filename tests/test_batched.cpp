@@ -1,17 +1,18 @@
-// Batched segment tier: adversarial shapes for the vertical (SIMD-friendly)
-// kernel VM.
+// Segment execution: adversarial shapes for the column-width untagged VM.
 //
-// The contract under test: segment batching (ExecConfig::batch_segments) is
-// a pure execution-strategy choice layered on top of specialization.  For
-// any program the batched tier must produce results byte-identical to the
-// per-point kernel loop, the generic compiled VM, and the reference AST
-// engine — same buffers bit for bit, same error/resource messages, same
-// cost counters.  This file attacks the batching machinery where it could
-// plausibly diverge: degenerate and empty extents, non-unit outer strides,
-// tails that do not fill a tile, resource budgets that a segment would
-// cross, IEEE special payloads, and in-place aliasing that makes vertical
-// execution illegal (the alias check must route those launches back to the
-// per-point loop, not produce reordered stores).
+// The contract under test: a committed kernel launch runs its innermost
+// extent as segments of length L — the whole extent when the kernel is
+// segment-eligible, the extent exceeds 1 and the lane windows are
+// alias-safe, otherwise L = 1 — and the choice is a pure execution
+// strategy.  For any program the specialized tier must produce results
+// byte-identical to the generic compiled VM and the reference AST engine —
+// same buffers bit for bit, same error/resource messages, same cost
+// counters.  This file pins the L = 1 / L > 1 crossover and attacks the
+// segment machinery where it could plausibly diverge: degenerate and empty
+// extents, non-unit outer strides, tails that do not fill a tile, resource
+// budgets that a segment would cross, IEEE special payloads, and in-place
+// aliasing that makes column execution illegal (the alias check must run
+// those launches at width 1, not produce reordered stores).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -40,11 +41,10 @@ struct TierOut {
 };
 
 TierOut run_cfg(const ir::SDFG& p, const interp::Context& inputs, bool compiled,
-                bool specialize, bool batch, std::int64_t max_points = 0) {
+                bool specialize, std::int64_t max_points = 0) {
     interp::ExecConfig cfg;
     cfg.use_compiled_tasklets = compiled;
     cfg.specialize = specialize;
-    cfg.batch_segments = batch;
     if (max_points > 0) {
         cfg.max_points = max_points;
         cfg.max_alloc_bytes = 1ll << 30;
@@ -90,19 +90,18 @@ void expect_same(const TierOut& a, const TierOut& b, const std::string& what,
     }
 }
 
-/// Runs all four tiers on the same inputs and requires batched == per-point
-/// == generic bitwise, and == reference modulo NaN payloads.  Returns the
-/// batched run for extra assertions.
+/// Runs all three tiers on the same inputs and requires specialized ==
+/// generic bitwise, and == reference modulo NaN payloads.  Returns the
+/// specialized run for extra assertions.
 TierOut expect_all_tiers_agree(const ir::SDFG& p, const interp::Context& inputs,
                                const std::string& what, std::int64_t max_points = 0) {
-    const TierOut batched = run_cfg(p, inputs, true, true, true, max_points);
-    const TierOut perpoint = run_cfg(p, inputs, true, true, false, max_points);
-    const TierOut generic = run_cfg(p, inputs, true, false, false, max_points);
-    const TierOut reference = run_cfg(p, inputs, false, false, false, max_points);
-    expect_same(batched, perpoint, what + " (batched vs per-point)");
-    expect_same(batched, generic, what + " (batched vs generic)");
-    expect_same(batched, reference, what + " (batched vs reference)", /*nan_equiv=*/true);
-    return batched;
+    const TierOut specialized = run_cfg(p, inputs, true, true, max_points);
+    const TierOut generic = run_cfg(p, inputs, true, false, max_points);
+    const TierOut reference = run_cfg(p, inputs, false, false, max_points);
+    expect_same(specialized, generic, what + " (specialized vs generic)");
+    expect_same(specialized, reference, what + " (specialized vs reference)",
+                /*nan_equiv=*/true);
+    return specialized;
 }
 
 interp::Context scale_inputs(std::int64_t n) {
@@ -119,89 +118,113 @@ interp::Context scale_inputs(std::int64_t n) {
 
 TEST(Batched, FlatScaleRunsOneSegmentLaunch) {
     const ir::SDFG p = make_scale_sdfg("o = i * 2.0 + 1.0");
-    const TierOut batched = expect_all_tiers_agree(p, scale_inputs(1000), "scale N=1000");
-    EXPECT_EQ(batched.stats.scopes_specialized, 1);
-    EXPECT_EQ(batched.stats.scopes_segmented, 1);
-    EXPECT_EQ(batched.stats.kernel_launches, 1);
-    EXPECT_EQ(batched.stats.segment_launches, 1);
-    // With batching disabled, classification is unchanged but no segment runs.
-    const TierOut perpoint = run_cfg(p, scale_inputs(1000), true, true, false);
-    EXPECT_EQ(perpoint.stats.scopes_segmented, 1);
-    EXPECT_EQ(perpoint.stats.segment_launches, 0);
-    EXPECT_EQ(perpoint.stats.kernel_launches, 1);
-}
-
-TEST(Batched, LengthOneExtentTakesPerPointPath) {
-    // seg_len == 1: batching would be pure overhead; the launch must commit
-    // through the per-point loop and stay byte-identical.
-    const ir::SDFG p = make_scale_sdfg("o = i * 2.0 + 1.0");
-    const TierOut batched = expect_all_tiers_agree(p, scale_inputs(1), "scale N=1");
-    EXPECT_EQ(batched.stats.kernel_launches, 1);
-    EXPECT_EQ(batched.stats.segment_launches, 0);
+    const TierOut spec = expect_all_tiers_agree(p, scale_inputs(1000), "scale N=1000");
+    EXPECT_EQ(spec.stats.scopes_specialized, 1);
+    EXPECT_EQ(spec.stats.scopes_segmented, 1);
+    EXPECT_EQ(spec.stats.kernel_launches, 1);
+    EXPECT_EQ(spec.stats.segment_launches, 1);
 }
 
 TEST(Batched, EmptyExtentExecutesNoPoints) {
     const ir::SDFG p = make_scale_sdfg("o = i * 2.0 + 1.0");
-    const TierOut batched = expect_all_tiers_agree(p, scale_inputs(0), "scale N=0");
-    EXPECT_TRUE(batched.res.ok());
-    EXPECT_EQ(batched.res.points, 0);
-    EXPECT_EQ(batched.stats.segment_launches, 0);
+    const TierOut spec = expect_all_tiers_agree(p, scale_inputs(0), "scale N=0");
+    EXPECT_TRUE(spec.res.ok());
+    EXPECT_EQ(spec.res.points, 0);
+    EXPECT_EQ(spec.stats.segment_launches, 0);
 }
 
 TEST(Batched, UnalignedTailsAndTileBoundaries) {
-    // The tile size of the vertical VM is 256: exercise below, exactly at,
+    // The tile size of the column VM is 256: exercise below, exactly at,
     // one-past, and well-past the boundary, plus a prime straddle.
     const ir::SDFG p = make_scale_sdfg("t = i * i; o = sqrt(t + 1.0) - i * 0.5");
     for (const std::int64_t n : {7ll, 255ll, 256ll, 257ll, 509ll, 768ll}) {
-        const TierOut batched =
+        const TierOut spec =
             expect_all_tiers_agree(p, scale_inputs(n), "tail N=" + std::to_string(n));
-        EXPECT_EQ(batched.stats.segment_launches, 1) << n;
+        EXPECT_EQ(spec.stats.segment_launches, 1) << n;
     }
 }
 
 TEST(Batched, BranchyTaskletNeverSegments) {
-    // A ternary compiles to conditional jumps; the batch VMs are
-    // straight-line only, so the scope must stay per-point (and still match
-    // every tier bitwise).
+    // A ternary compiles to conditional jumps, which only the width-1 VM
+    // follows, so the scope must run point by point (and still match every
+    // tier bitwise).
     const ir::SDFG p = make_scale_sdfg("t = i * i; o = t > 4.0 ? sqrt(t) : t * 0.5");
-    const TierOut batched = expect_all_tiers_agree(p, scale_inputs(600), "branchy");
-    EXPECT_EQ(batched.stats.scopes_specialized, 1);
-    EXPECT_EQ(batched.stats.scopes_segmented, 0);
-    EXPECT_EQ(batched.stats.segment_launches, 0);
-    EXPECT_EQ(batched.stats.kernel_launches, 1);
+    const TierOut spec = expect_all_tiers_agree(p, scale_inputs(600), "branchy");
+    EXPECT_EQ(spec.stats.scopes_specialized, 1);
+    EXPECT_EQ(spec.stats.scopes_segmented, 0);
+    EXPECT_EQ(spec.stats.segment_launches, 0);
+    EXPECT_EQ(spec.stats.kernel_launches, 1);
+}
+
+/// y[i, j] = f(x[i, j]) over rows 0, row_step, 2 * row_step, ... of a
+/// rows x cols array: one 2-D map whose inner extent is `cols`.
+ir::SDFG make_rows_sdfg(ir::DType dtype, std::int64_t rows, std::int64_t row_step,
+                        std::int64_t cols, const std::string& code) {
+    ir::SDFG p("rows");
+    const std::vector<sym::ExprPtr> shape{sym::cst(rows), sym::cst(cols)};
+    p.add_array("x", dtype, shape);
+    p.add_array("y", dtype, shape);
+    ir::State& st = p.state(p.add_state("main", true));
+    const ir::NodeId x = st.add_access("x");
+    auto [entry, exit] = st.add_map(
+        "m", {"i", "j"},
+        {ir::Range{sym::cst(0), sym::cst(rows - 1), sym::cst(row_step)},
+         ir::Range::full(sym::cst(cols))});
+    const ir::NodeId t = st.add_tasklet("t", code);
+    const ir::NodeId y = st.add_access("y");
+    const ir::Subset point{{ir::Range::index(sym::symb("i")), ir::Range::index(sym::symb("j"))}};
+    st.add_edge(x, "", entry, "", ir::Memlet("x", ir::Subset::full(shape)));
+    st.add_edge(entry, "", t, "i", ir::Memlet("x", point));
+    st.add_edge(t, "o", exit, "", ir::Memlet("y", point));
+    st.add_edge(exit, "", y, "", ir::Memlet("y", ir::Subset::full(shape)));
+    return p;
+}
+
+interp::Context rows_inputs(ir::DType dtype, std::int64_t rows, std::int64_t cols) {
+    interp::Context inputs;
+    interp::Buffer xv(dtype, {rows, cols});
+    for (std::int64_t i = 0; i < xv.size(); ++i)
+        xv.store(i, ir::dtype_is_float(dtype)
+                        ? interp::Value::from_double(0.125 * static_cast<double>(i % 97) - 2.0)
+                        : interp::Value::from_int(i % 97 - 48));
+    inputs.buffers.emplace("x", std::move(xv));
+    return inputs;
+}
+
+TEST(Batched, InnerExtentSweepPinsTheCrossover) {
+    // Column execution ties with width 1 at inner extent 1 and wins from 2
+    // on, so a segment-eligible launch batches exactly when the extent
+    // exceeds 1: no segment launch at L = 1, one per run at L >= 2 (tile
+    // boundary and one-past included), and output bytes equal the generic
+    // compiled tier's either way.
+    for (const ir::DType dtype : {ir::DType::F64, ir::DType::I64}) {
+        const bool is_float = dtype == ir::DType::F64;
+        for (const std::int64_t len : {1ll, 2ll, 3ll, 256ll, 257ll}) {
+            const std::string what =
+                std::string(ir::dtype_name(dtype)) + " L=" + std::to_string(len);
+            const ir::SDFG p = make_rows_sdfg(dtype, 3, 1, len,
+                                              is_float ? "o = i * 2.0 + 1.0" : "o = i * 3 + 1");
+            const TierOut spec = expect_all_tiers_agree(p, rows_inputs(dtype, 3, len), what);
+            EXPECT_EQ(spec.stats.kernel_launches, 1) << what;
+            EXPECT_EQ(spec.stats.segment_launches, len >= 2 ? 1 : 0) << what;
+            EXPECT_EQ(spec.stats.tasklets_f64 + spec.stats.tasklets_i64, 1) << what;
+            EXPECT_EQ(spec.res.points, 3 * len) << what;
+        }
+    }
 }
 
 TEST(Batched, NonUnitOuterStrideAdvancesSegmentsCorrectly) {
     // Outer param walks rows 0,2,4,6 of an 8x300 array (stride-2 iteration),
     // inner param is the contiguous 300-wide segment.  The outer odometer
     // advance must land each segment on the right row.
-    ir::SDFG p("strided_rows");
-    p.add_array("x", ir::DType::F64, {sym::cst(8), sym::cst(300)});
-    p.add_array("y", ir::DType::F64, {sym::cst(8), sym::cst(300)});
-    ir::State& st = p.state(p.add_state("main", true));
-    const ir::NodeId x = st.add_access("x");
-    auto [entry, exit] = st.add_map(
-        "m", {"i", "j"},
-        {ir::Range{sym::cst(0), sym::cst(6), sym::cst(2)}, ir::Range::full(sym::cst(300))});
-    const ir::NodeId t = st.add_tasklet("t", "o = i * 1.5 + 1.0");
-    const ir::NodeId y = st.add_access("y");
-    const ir::Subset point{{ir::Range::index(sym::symb("i")), ir::Range::index(sym::symb("j"))}};
-    st.add_edge(x, "", entry, "", ir::Memlet("x", ir::Subset::full({sym::cst(8), sym::cst(300)})));
-    st.add_edge(entry, "", t, "i", ir::Memlet("x", point));
-    st.add_edge(t, "o", exit, "", ir::Memlet("y", point));
-    st.add_edge(exit, "", y, "", ir::Memlet("y", ir::Subset::full({sym::cst(8), sym::cst(300)})));
-
-    interp::Context inputs;
-    interp::Buffer xv(ir::DType::F64, {8, 300});
-    for (std::int64_t i = 0; i < xv.size(); ++i)
-        xv.store(i, interp::Value::from_double(0.125 * static_cast<double>(i % 97) - 2.0));
-    inputs.buffers.emplace("x", std::move(xv));
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "strided rows");
-    EXPECT_EQ(batched.stats.segment_launches, 1);
-    EXPECT_EQ(batched.res.points, 4 * 300);
+    const ir::SDFG p = make_rows_sdfg(ir::DType::F64, 8, 2, 300, "o = i * 1.5 + 1.0");
+    const TierOut spec =
+        expect_all_tiers_agree(p, rows_inputs(ir::DType::F64, 8, 300), "strided rows");
+    EXPECT_EQ(spec.stats.segment_launches, 1);
+    EXPECT_EQ(spec.res.points, 4 * 300);
 }
 
-// --- Dtype coverage of the segment VMs ----------------------------------------
+// --- Dtype coverage of the column VM -------------------------------------------
 
 TEST(Batched, IntSegmentsUseTheI64VM) {
     ir::SDFG p = make_scale_sdfg("o = i * 2 + 1");
@@ -215,11 +238,11 @@ TEST(Batched, IntSegmentsUseTheI64VM) {
     for (std::int64_t i = 0; i < 700; ++i) xv.store(i, interp::Value::from_int(i - 350));
     inputs.buffers.emplace("x", std::move(xv));
 
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "i64 scale");
-    EXPECT_EQ(batched.stats.tasklets_i64, 1);
-    EXPECT_EQ(batched.stats.tasklets_f64, 0);
-    EXPECT_EQ(batched.stats.segment_launches, 1);
-    EXPECT_EQ(batched.ctx.buffers.at("y").load_double(0), -699.0);
+    const TierOut spec = expect_all_tiers_agree(p, inputs, "i64 scale");
+    EXPECT_EQ(spec.stats.tasklets_i64, 1);
+    EXPECT_EQ(spec.stats.tasklets_f64, 0);
+    EXPECT_EQ(spec.stats.segment_launches, 1);
+    EXPECT_EQ(spec.ctx.buffers.at("y").load_double(0), -699.0);
 }
 
 TEST(Batched, MixedDtypeSegmentsConvertLikeTheTaggedVM) {
@@ -238,45 +261,41 @@ TEST(Batched, MixedDtypeSegmentsConvertLikeTheTaggedVM) {
         xv.store(i, interp::Value::from_double(0.3 * static_cast<double>(i - 300)));
     inputs.buffers.emplace("x", std::move(xv));
 
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "f32->i32 scale");
-    EXPECT_EQ(batched.stats.tasklets_f64, 1);
-    EXPECT_EQ(batched.stats.segment_launches, 1);
-    EXPECT_EQ(batched.ctx.buffers.at("y").dtype(), ir::DType::I32);
+    const TierOut spec = expect_all_tiers_agree(p, inputs, "f32->i32 scale");
+    EXPECT_EQ(spec.stats.tasklets_f64, 1);
+    EXPECT_EQ(spec.stats.segment_launches, 1);
+    EXPECT_EQ(spec.ctx.buffers.at("y").dtype(), ir::DType::I32);
 }
 
 // --- Resource budgets ---------------------------------------------------------
 
 TEST(Batched, BudgetCrossingASegmentBlamesTheSameLimit) {
     // Two 300-point maps under a 450-point budget: the first launch charges
-    // 300, the second trips the budget mid-extent.  Kernel-tier launches
-    // (batched or per-point) pre-charge the whole launch, so the batched
-    // tier must blame exactly what per-point execution blames: same status,
-    // same limit-naming message, and bitwise-identical partial effects (the
-    // completed first map; none of the second).  The generic odometer
-    // detects the same exhaustion per point — coarser partial effects by
-    // documented design (interpreter.h ExecResult), but the same blame.
+    // 300, the second trips the budget mid-extent.  Kernel launches
+    // pre-charge the whole launch, so a segment must blame exactly the limit
+    // the generic odometer blames: same status, same limit-naming message.
+    // The odometer detects the exhaustion per point — coarser partial
+    // effects by documented design (interpreter.h ExecResult), but the same
+    // blame.
     const ir::SDFG p = make_chain_sdfg("o = i + 1.0", "o = i * 3.0");
-    const TierOut batched = run_cfg(p, scale_inputs(300), true, true, true, /*max_points=*/450);
-    const TierOut perpoint = run_cfg(p, scale_inputs(300), true, true, false, 450);
-    const TierOut generic = run_cfg(p, scale_inputs(300), true, false, false, 450);
-    const TierOut reference = run_cfg(p, scale_inputs(300), false, false, false, 450);
-    expect_same(batched, perpoint, "budget mid-chain (batched vs per-point)");
-    EXPECT_EQ(batched.res.status, interp::ExecStatus::Resource);
-    EXPECT_EQ(batched.res.message, generic.res.message);
-    EXPECT_EQ(batched.res.message, reference.res.message);
+    const TierOut spec = run_cfg(p, scale_inputs(300), true, true, /*max_points=*/450);
+    const TierOut generic = run_cfg(p, scale_inputs(300), true, false, 450);
+    const TierOut reference = run_cfg(p, scale_inputs(300), false, false, 450);
+    EXPECT_EQ(spec.res.status, interp::ExecStatus::Resource);
+    EXPECT_EQ(spec.res.message, generic.res.message);
+    EXPECT_EQ(spec.res.message, reference.res.message);
     EXPECT_EQ(generic.res.status, interp::ExecStatus::Resource);
     EXPECT_EQ(reference.res.status, interp::ExecStatus::Resource);
     // The first map committed (one segment launch) before exhaustion.
-    EXPECT_EQ(batched.stats.segment_launches, 1);
-    ASSERT_TRUE(batched.ctx.has_buffer("T"));
-    EXPECT_EQ(batched.ctx.buffers.at("T").load_double(0), -2.0);  // x[0]=-3 -> +1
+    EXPECT_EQ(spec.stats.segment_launches, 1);
+    ASSERT_TRUE(spec.ctx.has_buffer("T"));
+    EXPECT_EQ(spec.ctx.buffers.at("T").load_double(0), -2.0);  // x[0]=-3 -> +1
     // The per-launch pre-charge refused the second map wholesale: its output
-    // was ensured (zero-filled) by lane setup but no point of it ever ran —
-    // identically for batched and per-point (asserted bitwise above).  The
-    // generic odometer instead burned the remaining 150 points one at a time
-    // before exhausting, so its prefix of y holds committed values.
-    ASSERT_TRUE(batched.ctx.has_buffer("y"));
-    EXPECT_EQ(batched.ctx.buffers.at("y").load_double(0), 0.0);
+    // was ensured (zero-filled) by lane setup but no point of it ever ran.
+    // The generic odometer instead burned the remaining 150 points one at a
+    // time before exhausting, so its prefix of y holds committed values.
+    ASSERT_TRUE(spec.ctx.has_buffer("y"));
+    EXPECT_EQ(spec.ctx.buffers.at("y").load_double(0), 0.0);
     ASSERT_TRUE(generic.ctx.has_buffer("y"));
     EXPECT_EQ(generic.ctx.buffers.at("y").load_double(0), -6.0);  // (x[0]+1)*3
     EXPECT_EQ(generic.ctx.buffers.at("y").load_double(150), 0.0);
@@ -286,7 +305,7 @@ TEST(Batched, BudgetCrossingASegmentBlamesTheSameLimit) {
         expect_all_tiers_agree(p, scale_inputs(300), "budget exact", /*max_points=*/600);
     EXPECT_TRUE(exact.res.ok());
     EXPECT_EQ(exact.res.points, 600);
-    const TierOut unbudgeted = run_cfg(p, scale_inputs(300), true, true, true);
+    const TierOut unbudgeted = run_cfg(p, scale_inputs(300), true, true);
     expect_same(exact, unbudgeted, "budget-at-limit vs unbudgeted");
 }
 
@@ -306,21 +325,21 @@ TEST(Batched, SpecialPayloadsSurviveBatchingBitwise) {
         xv.insert(xv.end(), payloads.begin(), payloads.end());
     inputs.symbols["N"] = static_cast<std::int64_t>(xv.size());
     inputs.buffers.emplace("x", make_buffer(xv));
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "special payloads");
-    EXPECT_EQ(batched.stats.segment_launches, 1);
+    const TierOut spec = expect_all_tiers_agree(p, inputs, "special payloads");
+    EXPECT_EQ(spec.stats.segment_launches, 1);
     // Spot-check semantics: NaN propagates, inf saturates, -0 * 2 + 1 == 1.
-    EXPECT_TRUE(std::isnan(batched.ctx.buffers.at("y").load_double(0)));
-    EXPECT_EQ(batched.ctx.buffers.at("y").load_double(2), inf);
-    EXPECT_EQ(batched.ctx.buffers.at("y").load_double(7), 1.0);
+    EXPECT_TRUE(std::isnan(spec.ctx.buffers.at("y").load_double(0)));
+    EXPECT_EQ(spec.ctx.buffers.at("y").load_double(2), inf);
+    EXPECT_EQ(spec.ctx.buffers.at("y").load_double(7), 1.0);
 }
 
-// --- Aliasing: vertical execution must refuse reordering ----------------------
+// --- Aliasing: column execution must refuse reordering ----------------------
 
-TEST(Batched, ShiftedSelfAliasRunsPerPoint) {
-    // y[i+1] = y[i] * 2 is a loop-carried dependency: batching would read
-    // stale values vertically.  The per-launch alias check must hand the
-    // scope to the per-point loop (still a committed kernel launch), and the
-    // result must equal the sequential recurrence on every tier.
+TEST(Batched, ShiftedSelfAliasRunsAtWidthOne) {
+    // y[i+1] = y[i] * 2 is a loop-carried dependency: column execution
+    // would read stale values.  The per-launch alias check must run the
+    // launch at width 1 (still a committed kernel launch), and the result
+    // must equal the sequential recurrence on every tier.
     ir::SDFG p("shift_alias");
     p.add_array("y", ir::DType::F64, {sym::cst(512)});
     ir::State& st = p.state(p.add_state("main", true));
@@ -339,18 +358,18 @@ TEST(Batched, ShiftedSelfAliasRunsPerPoint) {
     yv[0] = 1.0;
     inputs.buffers.emplace("y", make_buffer(yv));
 
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "shifted self-alias");
-    EXPECT_EQ(batched.stats.kernel_launches, 1);
-    EXPECT_EQ(batched.stats.segment_launches, 0) << "alias check must refuse batching";
+    const TierOut spec = expect_all_tiers_agree(p, inputs, "shifted self-alias");
+    EXPECT_EQ(spec.stats.kernel_launches, 1);
+    EXPECT_EQ(spec.stats.segment_launches, 0) << "alias check must refuse batching";
     // The recurrence doubled 1.0 down the array: y[k] == 2^k (until overflow
     // to inf, which is fine — we check an early element).
-    EXPECT_EQ(batched.ctx.buffers.at("y").load_double(10), 1024.0);
+    EXPECT_EQ(spec.ctx.buffers.at("y").load_double(10), 1024.0);
 }
 
-TEST(Batched, StrideZeroBroadcastWriteRunsPerPoint) {
+TEST(Batched, StrideZeroBroadcastWriteRunsAtWidthOne) {
     // x[0] = x[0] + 1 over 400 points: the write lane has inner stride 0, so
-    // vertical execution would collapse 400 sequential increments into one.
-    // The alias check must refuse; the committed per-point launch then
+    // column execution would collapse 400 sequential increments into one.
+    // The alias check must refuse; the committed width-1 launch then
     // accumulates exactly like the generic odometer.
     ir::SDFG p("bcast_alias");
     p.add_array("x", ir::DType::F64, {sym::cst(4)});
@@ -367,9 +386,9 @@ TEST(Batched, StrideZeroBroadcastWriteRunsPerPoint) {
 
     interp::Context inputs;
     inputs.buffers.emplace("x", make_buffer({0.5, 0, 0, 0}));
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "stride-0 broadcast");
-    EXPECT_EQ(batched.stats.segment_launches, 0) << "stride-0 write must not batch";
-    EXPECT_EQ(batched.ctx.buffers.at("x").load_double(0), 400.5);
+    const TierOut spec = expect_all_tiers_agree(p, inputs, "stride-0 broadcast");
+    EXPECT_EQ(spec.stats.segment_launches, 0) << "stride-0 write must not batch";
+    EXPECT_EQ(spec.ctx.buffers.at("x").load_double(0), 400.5);
 }
 
 // --- DType name round-trip (exhaustive) ---------------------------------------

@@ -22,6 +22,10 @@
 
 #include <sys/wait.h>
 
+#include "common/json.h"
+#include "ir/serialize.h"
+#include "workloads/npbench.h"
+
 namespace ff {
 namespace {
 
@@ -78,6 +82,29 @@ TEST(CliJobErrors, UnknownWorkloadExitsFour) {
     const CliResult r = run_cli("run --workload no_such_kernel");
     EXPECT_EQ(r.code, 4);
     EXPECT_NE(r.out.find("no_such_kernel"), std::string::npos) << r.out;
+}
+
+TEST(CliListWorkloads, PrintsEveryBuiltinKernel) {
+    const CliResult r = run_cli("list-workloads");
+    EXPECT_EQ(r.code, 0) << r.out;
+    std::string expected;
+    for (const auto& name : workloads::npbench_kernel_names()) expected += name + "\n";
+    EXPECT_EQ(r.out, expected);
+    EXPECT_EQ(workloads::npbench_kernel_names().size(), 38u);
+    EXPECT_EQ(run_cli("list-workloads --bogus").code, 2);
+}
+
+TEST(CliParseErrors, DanglingSdfgIdExitsSeven) {
+    // A serialized SDFG whose edge names a node id it never defines is a
+    // malformed input file: exit 7, naming the file, JSON path and id.
+    const std::string dir = scratch_dir("dangling_sdfg");
+    common::Json doc = ir::to_json(workloads::build_npbench_kernel("gemm"));
+    doc["states"].as_array()[0]["edges"].as_array()[0]["src"] = std::int64_t{99999};
+    std::ofstream(dir + "/gemm.json") << doc.dump(2);
+    const CliResult r = run_cli("run --sdfg " + dir + "/gemm.json --trials 1");
+    EXPECT_EQ(r.code, 7) << r.out;
+    EXPECT_NE(r.out.find("gemm.json"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("states[0].edges[0].src: no node 99999"), std::string::npos) << r.out;
 }
 
 TEST(CliParseErrors, MalformedManifestExitsSeven) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "helpers.h"
 #include "ir/sdfg.h"
 #include "ir/serialize.h"
@@ -221,6 +222,39 @@ TEST(Serialize, PreservesKindsAndAttrs) {
     EXPECT_EQ(restored.container("x").storage, Storage::Device);
     EXPECT_TRUE(restored.container("x").transient);
     EXPECT_EQ(restored.container("x").dtype, DType::F32);
+}
+
+TEST(Serialize, DanglingIdsAreLocatedParseErrors) {
+    // A reference to a node or state id the document never defines must end
+    // in a typed ParseError naming the JSON path and the id.
+    const common::Json good = to_json(ff::testing::make_scale_sdfg());
+    const auto expect_error = [](const common::Json& doc, const std::string& needle) {
+        try {
+            (void)sdfg_from_json(doc);
+            ADD_FAILURE() << "expected a ParseError naming " << needle;
+        } catch (const common::ParseError& e) {
+            EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+        }
+    };
+
+    common::Json bad_src = good;
+    bad_src["states"].as_array()[0]["edges"].as_array()[0]["src"] = std::int64_t{99999};
+    expect_error(bad_src, "states[0].edges[0].src: no node 99999");
+
+    common::Json bad_dst = good;
+    bad_dst["states"].as_array()[0]["edges"].as_array()[1]["dst"] = std::int64_t{-5};
+    expect_error(bad_dst, "states[0].edges[1].dst: no node -5");
+
+    common::Json bad_start = good;
+    bad_start["start_state"] = std::int64_t{77};
+    expect_error(bad_start, "start_state: no state 77");
+
+    SDFG loop("loop");
+    loop.add_state("a", true);
+    loop.add_interstate_edge(loop.start_state(), loop.add_state("b"), InterstateEdge{});
+    common::Json bad_interstate = to_json(loop);
+    bad_interstate["interstate_edges"].as_array()[0]["dst"] = std::int64_t{12};
+    expect_error(bad_interstate, "interstate_edges[0].dst: no state 12");
 }
 
 }  // namespace

@@ -131,7 +131,7 @@ TEST(Specialization, ScaleMapClassifiesAndLaunches) {
     EXPECT_EQ(stats.tasklets_i64, 0);
     EXPECT_EQ(stats.kernel_launches, 1);
     EXPECT_EQ(stats.kernel_fallbacks, 0);
-    EXPECT_EQ(stats.segment_launches, 1);  // batch_segments defaults on
+    EXPECT_EQ(stats.segment_launches, 1);  // inner extent 16 > 1: one segment
     EXPECT_EQ(ctx.buffers.at("y").load_double(7), 3.0);
 }
 
@@ -305,7 +305,7 @@ TEST(Specialization, ThrowingSiblingLaneFallsBackToGenericReplay) {
     // The scope classified — and with two straight-line f64 tasklets it is
     // even segment-eligible — yet the launch fell back (no commit, no
     // segment): a misclassification the per-launch validation catches must
-    // reach the generic replay, never the batch VMs.
+    // reach the generic replay, never the column VM.
     EXPECT_EQ(stats_spec.scopes_specialized, 1);
     EXPECT_EQ(stats_spec.scopes_segmented, 1);
     EXPECT_EQ(stats_spec.kernel_fallbacks, 1);
@@ -520,7 +520,7 @@ void expect_context_equal(const interp::Context& a, const interp::Context& b,
     }
 }
 
-TEST(SpecializationProperty, AllFourTiersAgreeOn420Programs) {
+TEST(SpecializationProperty, AllTiersAgreeOn420Programs) {
     int crashes = 0, kernels = 0, f64s = 0, i64s = 0, segments = 0;
     for (std::uint64_t seed = 0; seed < 420; ++seed) {
         const RandomProgram rp = make_random_program(0xC0FFEE00ULL + seed);
@@ -530,30 +530,25 @@ TEST(SpecializationProperty, AllFourTiersAgreeOn420Programs) {
             interp::Context ctx;
             interp::SpecStats stats;
         };
-        auto run_with = [&](bool compiled, bool specialize, bool batch) {
+        auto run_with = [&](bool compiled, bool specialize) {
             interp::ExecConfig cfg;
             cfg.use_compiled_tasklets = compiled;
             cfg.specialize = specialize;
-            cfg.batch_segments = batch;
             interp::Interpreter interp(cfg);
             Run r{interp::ExecResult{}, rp.inputs, interp::SpecStats{}};
             r.result = interp.run(rp.p, r.ctx);
             r.stats = interp.plan_cache()->spec_stats();
             return r;
         };
-        const Run batched = run_with(true, true, true);
-        const Run spec = run_with(true, true, false);
-        const Run generic = run_with(true, false, false);
-        const Run reference = run_with(false, false, false);
+        const Run spec = run_with(true, true);
+        const Run generic = run_with(true, false);
+        const Run reference = run_with(false, false);
 
         const std::string what = "seed " + std::to_string(seed);
-        EXPECT_EQ(batched.result.status, spec.result.status) << what;
-        EXPECT_EQ(batched.result.message, spec.result.message) << what;
         EXPECT_EQ(spec.result.status, generic.result.status) << what;
         EXPECT_EQ(spec.result.message, generic.result.message) << what;
         EXPECT_EQ(spec.result.status, reference.result.status) << what;
         EXPECT_EQ(spec.result.message, reference.result.message) << what;
-        expect_context_equal(batched.ctx, spec.ctx, what + " (batched vs per-point)");
         expect_context_equal(spec.ctx, generic.ctx, what + " (spec vs generic)");
         if (spec.result.ok())
             expect_context_equal(spec.ctx, reference.ctx, what + " (spec vs reference)",
@@ -563,13 +558,13 @@ TEST(SpecializationProperty, AllFourTiersAgreeOn420Programs) {
         kernels += static_cast<int>(spec.stats.kernel_launches);
         f64s += static_cast<int>(spec.stats.tasklets_f64);
         i64s += static_cast<int>(spec.stats.tasklets_i64);
-        segments += static_cast<int>(batched.stats.segment_launches);
+        segments += static_cast<int>(spec.stats.segment_launches);
     }
     // The generator must actually exercise every tier.
     EXPECT_GT(kernels, 50) << "flat-stride kernels barely exercised";
-    EXPECT_GT(f64s, 20) << "untagged f64 VM barely exercised";
-    EXPECT_GT(i64s, 10) << "untagged i64 VM barely exercised";
-    EXPECT_GT(segments, 20) << "batched segment VM barely exercised";
+    EXPECT_GT(f64s, 20) << "untagged double VM barely exercised";
+    EXPECT_GT(i64s, 10) << "untagged int64 VM barely exercised";
+    EXPECT_GT(segments, 20) << "column-width untagged VM barely exercised";
     EXPECT_GT(crashes, 5) << "crash paths barely exercised";
     EXPECT_LT(crashes, 300) << "generator crashes too often to test value paths";
 }

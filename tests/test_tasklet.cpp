@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -325,6 +326,80 @@ TEST(TaskletDifferential, RandomProgramsAgreeAcrossEngines) {
     // The generator intentionally produces some int-div-by-zero crashes;
     // they must not dominate (the value-comparison path is the point).
     EXPECT_LT(crashes, 200);
+}
+
+// --- int64 overflow: two's-complement wraparound in every engine ------------
+//
+// Signed overflow is undefined behaviour in C++, and replayed test cases or
+// caller buffers can carry any int64.  The language defines integer
+// add/sub/mul/neg/abs as wraparound (and floor division by -1 as negation),
+// so the reference walker, the constant folder, the tagged VM and the
+// untagged VM at both widths must agree bit for bit on extreme operands.
+// The sanitizer CI job runs this test under UBSan.
+
+TEST(TaskletOverflow, Int64WraparoundAgreesAcrossEngines) {
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const std::vector<std::int64_t> operands = {kMin, kMin + 1, -1, 0, 1, kMax / 2, kMax};
+    const char* programs[] = {
+        "o = i * 3 + 1",
+        "o = i + j",
+        "o = i - j",
+        "o = i * j",
+        "o = -i",
+        "o = abs(i) - j",
+        "o = min(i, j) * max(i, j)",
+        "o = i / (j * 2 + 1) + i % (j * 2 + 1)",  // divisor is odd, so never 0
+        "o = 4611686018427387904 * 4 + i",         // folds to 0 + i
+    };
+    const std::size_t n = operands.size() * operands.size();
+    for (const char* code : programs) {
+        SCOPED_TRACE(code);
+        const auto prog = TaskletProgram::parse(code);
+        ASSERT_TRUE(prog->has_i64_variant());
+        ASSERT_TRUE(prog->is_straightline());
+        const auto base_of = [&](const std::string& name) {
+            for (const SlotDesc& sd : prog->slot_table())
+                if (sd.name == name) return sd.base;
+            return -1;
+        };
+        const auto slots = static_cast<std::size_t>(prog->slot_count());
+        const auto regs = static_cast<std::size_t>(prog->reg_count());
+        // Column width n: lane k holds operand pair k.
+        std::vector<std::int64_t> cols(slots * n, 0), col_regs(regs * n, 0);
+        for (std::size_t k = 0; k < n; ++k) {
+            for (const auto& [name, v] : {std::pair{"i", operands[k / operands.size()]},
+                                          std::pair{"j", operands[k % operands.size()]}})
+                if (base_of(name) >= 0) cols[static_cast<std::size_t>(base_of(name)) * n + k] = v;
+        }
+        prog->execute_untagged<std::int64_t, TaskletProgram::kColumns>(
+            cols.data(), col_regs.data(), static_cast<std::int64_t>(n));
+
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::int64_t i = operands[k / operands.size()];
+            const std::int64_t j = operands[k % operands.size()];
+            SCOPED_TRACE("i=" + std::to_string(i) + " j=" + std::to_string(j));
+            ConnectorEnv env{{"i", {Value::from_int(i)}}, {"j", {Value::from_int(j)}}};
+            ConnectorEnv vm_env = env;
+            prog->execute(env);
+            prog->execute_compiled(vm_env);
+            std::vector<std::int64_t> one(slots, 0), one_regs(regs, 0);
+            if (base_of("i") >= 0) one[static_cast<std::size_t>(base_of("i"))] = i;
+            if (base_of("j") >= 0) one[static_cast<std::size_t>(base_of("j"))] = j;
+            prog->execute_untagged<std::int64_t, 1>(one.data(), one_regs.data());
+
+            const Value ref = env.at("o").at(0);
+            ASSERT_FALSE(ref.is_float);
+            EXPECT_TRUE(values_equal(ref, vm_env.at("o").at(0)));
+            const auto o = static_cast<std::size_t>(base_of("o"));
+            EXPECT_EQ(one[o], ref.i);
+            EXPECT_EQ(cols[o * n + k], ref.i);
+        }
+    }
+    // One pinned value: (2^62 - 1) * 3 + 1 wraps to -2^62 - 2.
+    ConnectorEnv env{{"i", {Value::from_int(kMax / 2)}}};
+    TaskletProgram::parse("o = i * 3 + 1")->execute(env);
+    EXPECT_EQ(env.at("o").at(0).i, -(std::int64_t{1} << 62) - 2);
 }
 
 }  // namespace

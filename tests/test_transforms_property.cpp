@@ -39,12 +39,12 @@ interp::Context random_inputs(const ir::SDFG& sdfg, const sym::Bindings& binding
 }
 
 /// Runs `sdfg` under every execution tier — reference AST engine, generic
-/// compiled VM, specialized per-point kernels, batched segment kernels — and
+/// compiled VM, specialized kernels (width-1 and column segments) — and
 /// requires identical observable behavior: same status and message, equal
 /// cost counters for Ok runs, the same set of live buffers, and bitwise-
 /// identical contents for every one of them (transients included).  This is
 /// the tier half of the determinism contract the differential reports rest
-/// on.  Returns the batched (default-config) run.
+/// on.  Returns the specialized (default-config) run.
 struct TierRun {
     interp::ExecResult res;
     interp::Context ctx;
@@ -54,13 +54,12 @@ TierRun run_all_tiers(const ir::SDFG& sdfg, const sym::Bindings& bindings, std::
                       const std::string& label) {
     struct Tier {
         const char* name;
-        bool compiled, specialize, batch;
+        bool compiled, specialize;
     };
     constexpr Tier kTiers[] = {
-        {"reference", false, false, false},
-        {"generic-compiled", true, false, false},
-        {"specialized-per-point", true, true, false},
-        {"batched-segments", true, true, true},
+        {"reference", false, false},
+        {"generic-compiled", true, false},
+        {"specialized", true, true},
     };
     TierRun baseline;
     TierRun last;
@@ -68,7 +67,6 @@ TierRun run_all_tiers(const ir::SDFG& sdfg, const sym::Bindings& bindings, std::
         interp::ExecConfig cfg;
         cfg.use_compiled_tasklets = t.compiled;
         cfg.specialize = t.specialize;
-        cfg.batch_segments = t.batch;
         interp::Interpreter interp(cfg);
         TierRun run;
         run.ctx = random_inputs(sdfg, bindings, seed);

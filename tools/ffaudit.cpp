@@ -82,9 +82,10 @@ int usage(const char* detail = nullptr) {
                  "  worker     execute leases from a `ffaudit serve` coordinator\n"
                  "  fsck       verify record-file integrity; --repair salvages a prefix\n"
                  "  replay     re-run a reproducer test case JSON\n"
+                 "  list-workloads  print the built-in npbench kernel names\n"
                  "\n"
                  "job options (plan, run):\n"
-                 "  --workload <name>        npbench kernel (see --list-workloads)\n"
+                 "  --workload <name>        npbench kernel (see `ffaudit list-workloads`)\n"
                  "  --sdfg <file>            serialized SDFG instead of a named workload\n"
                  "  --passes <set>           table2 | correct | tiling   [table2]\n"
                  "  --seed <n>               sampler seed               [0x5eed]\n"
@@ -233,11 +234,7 @@ int cmd_plan(const std::vector<std::string>& args) {
         else if (args[i] == "--checkpoint-interval")
             checkpoint_interval = static_cast<int>(int_value(args, i));
         else if (args[i] == "--out-dir") out_dir = flag_value(args, i);
-        else if (args[i] == "--list-workloads") {
-            for (const auto& name : workloads::npbench_kernel_names())
-                std::printf("%s\n", name.c_str());
-            return 0;
-        } else return usage(("unknown plan option " + args[i]).c_str());
+        else return usage(("unknown plan option " + args[i]).c_str());
     }
     if (shards < 1) return usage("plan needs --shards >= 1");
     if (out_dir.empty()) return usage("plan needs --out-dir");
@@ -599,6 +596,12 @@ int cmd_fsck(const std::vector<std::string>& args) {
     return corrupt_files > 0 ? kExitMerge : kExitOk;
 }
 
+int cmd_list_workloads(const std::vector<std::string>& args) {
+    if (!args.empty()) return usage("list-workloads takes no options");
+    for (const auto& name : workloads::npbench_kernel_names()) std::printf("%s\n", name.c_str());
+    return kExitOk;
+}
+
 int cmd_replay(const std::vector<std::string>& args) {
     if (args.size() != 1 || args[0].rfind("--", 0) == 0)
         return usage("replay expects exactly one <testcase.json>");
@@ -644,6 +647,7 @@ int main(int argc, char** argv) {
         if (command == "worker") return cmd_worker(args);
         if (command == "fsck") return cmd_fsck(args);
         if (command == "replay") return cmd_replay(args);
+        if (command == "list-workloads") return cmd_list_workloads(args);
         if (command == "--help" || command == "-h" || command == "help") {
             usage();  // asked for, so not an error
             return kExitOk;
