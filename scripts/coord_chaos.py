@@ -10,10 +10,14 @@ injected faults and checks the fault-tolerance acceptance bar end to end:
    torn record tail for the replacement to salvage) and worker 1 — when
    there is one — stalls far past its lease (`delay-lease-ms=4000`, forcing
    an expiry and a re-issue);
-3. every serve run must exit 0, report byte-identical to step 1, artifacts
-   byte-identical to step 1, and its summary line must prove the faults
-   actually fired (a worker was lost and a replacement spawned);
-4. poison-unit quarantine: two workers under hostile-trial faults — one
+3. every serve run must exit 0 within KILL_SERVE_MAX_S, report
+   byte-identical to step 1, artifacts byte-identical to step 1, and its
+   summary line must prove the faults actually fired (a worker was lost and
+   a replacement spawned).  These runs set a 60 s session grace window, so
+   a SIGKILLed worker's lease that gets parked instead of re-issued shows
+   up as a serve that blows the time bound;
+4. poison-unit quarantine (also a kill scenario, with the same grace window
+   and time bound): two workers under hostile-trial faults — one
    spins forever after its first checkpoint (heartbeats keep flowing, only
    the wall-clock watchdog catches it, exit 113) and one allocates without
    bound (caught by RLIMIT_AS, exit 114) — with `--max-failures 1`, so each
@@ -39,6 +43,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 JOB_FLAGS = [
@@ -51,19 +56,29 @@ JOB_FLAGS = [
 
 WORKER_COUNTS = [1, 2, 4]
 
+# The kill scenarios run with a 60 s session grace window: a dead worker's
+# lease must go back to the queue when its process is reaped, so any serve
+# slower than this waited out a grace window it should never have opened.
+KILL_SESSION_GRACE_MS = 60000
+KILL_SERVE_MAX_S = 30
+
 
 def fail(message: str) -> None:
     print(f"coord_chaos: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
 
 
-def run(cmd, expect_rc=0, timeout=600) -> str:
+def run(cmd, expect_rc=0, timeout=600, max_seconds=None) -> str:
+    start = time.monotonic()
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
-    print(f"$ {' '.join(str(c) for c in cmd)}")
+    elapsed = time.monotonic() - start
+    print(f"$ {' '.join(str(c) for c in cmd)}  ({elapsed:.1f} s)")
     sys.stdout.write(proc.stdout)
     sys.stderr.write(proc.stderr)
     if proc.returncode != expect_rc:
         fail(f"expected exit {expect_rc}, got {proc.returncode}")
+    if max_seconds is not None and elapsed > max_seconds:
+        fail(f"took {elapsed:.1f} s, over the {max_seconds} s bound")
     return proc.stdout + proc.stderr
 
 
@@ -75,16 +90,16 @@ def summary_counts(output: str) -> dict:
     """Parses the `served N shard(s): ...` summary into named counters."""
     m = re.search(
         r"served (\d+) shard\(s\): (\d+) lease\(s\), (\d+) expiration\(s\), "
-        r"(\d+) requeue\(s\), (\d+) hedge\(s\), (\d+) duplicate completion\(s\) "
+        r"(\d+) requeue\(s\), (\d+) duplicate completion\(s\) "
         r"\((\d+) byte-verified\), (\d+) worker\(s\) seen, (\d+) lost, (\d+) spawned, "
         r"(\d+) quarantined unit\(s\), (\d+) split shard\(s\), "
         r"(\d+) session\(s\) parked, (\d+) resumed, (\d+) grace-expired",
         output)
     if not m:
         fail("serve printed no summary line")
-    keys = ("shards", "leases", "expirations", "requeues", "hedges",
-            "duplicates", "verified", "seen", "lost", "spawned",
-            "quarantined", "split", "parked", "resumed", "grace_expired")
+    keys = ("shards", "leases", "expirations", "requeues", "duplicates",
+            "verified", "seen", "lost", "spawned", "quarantined", "split",
+            "parked", "resumed", "grace_expired")
     return dict(zip(keys, (int(g) for g in m.groups())))
 
 
@@ -131,7 +146,6 @@ def net_chaos(ffaudit: str, root: Path, ref_report: Path, ref_artifacts: dict) -
                "--heartbeat-ms", "300",
                "--session-grace-ms", "8000",
                "--worker-reply-timeout-ms", "2000",
-               "--straggler-factor", "50",
                "--linger-ms", "8000"]
         out = run(cmd, timeout=900)
 
@@ -197,19 +211,18 @@ def main() -> None:
                    "--artifact-dir", art,
                    "--out", report,
                    "--spawn-workers", str(n),
-                   # Tight leases so the stall visibly expires one, and an
-                   # aggressive straggler factor so hedging gets exercise.
+                   # Tight leases so the stall visibly expires one.
                    "--lease-ms", "1500",
                    "--heartbeat-ms", "300",
-                   "--straggler-factor", "1.0",
                    "--linger-ms", "8000",
+                   "--session-grace-ms", str(KILL_SESSION_GRACE_MS),
                    # Worker 0 dies by SIGKILL mid-shard, after its first
                    # durable checkpoint (interval 2, killed after 3 units).
                    "--worker-fault", "0=kill-after-units=3"]
             if n > 1:
                 # Worker 1 stalls far past its lease before running.
                 cmd += ["--worker-fault", "1=delay-lease-ms=4000"]
-            out = run(cmd)
+            out = run(cmd, max_seconds=KILL_SERVE_MAX_S)
 
             counts = summary_counts(out)
             if counts["shards"] != 4:
@@ -221,6 +234,9 @@ def main() -> None:
                      "the killed worker was never replaced")
             if n > 1 and counts["expirations"] < 1:
                 fail(f"n={n}: no lease expired — the stall fault never fired")
+            if n > 1 and counts["verified"] < 1:
+                fail(f"n={n}: no duplicate byte-verified — the stalled zombie's "
+                     "completion never reached the determinism check")
             if counts["quarantined"] != 0:
                 fail(f"n={n}: {counts['quarantined']} unit(s) quarantined in a "
                      "scenario whose faults are all recoverable")
@@ -253,12 +269,13 @@ def main() -> None:
                    "--lease-ms", "4000",
                    "--heartbeat-ms", "300",
                    "--linger-ms", "8000",
+                   "--session-grace-ms", str(KILL_SESSION_GRACE_MS),
                    "--max-failures", "1",
                    "--worker-watchdog-ms", "600",
                    "--worker-rlimit-as", str(1 << 30),
                    "--worker-fault", "0=spin-after-units=1",
                    "--worker-fault", "1=hog-memory-after-units=1"],
-                  expect_rc=9)
+                  expect_rc=9, max_seconds=KILL_SERVE_MAX_S)
         counts = summary_counts(out)
         if counts["quarantined"] < 1:
             fail("poison: nothing was quarantined — the poison faults never fired")

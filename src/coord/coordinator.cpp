@@ -109,8 +109,8 @@ public:
                 ::unlink(listen_ep_.path.c_str());
             }
         }
-        // Leftover children are expendable (losing hedges, stalled
-        // stragglers): kill and reap so serve() never leaks processes.
+        // Leftover children are expendable (zombies, stalled workers):
+        // kill and reap so serve() never leaks processes.
         for (const Child& child : children_) {
             if (child.pid > 0) ::kill(child.pid, SIGKILL);
         }
@@ -133,6 +133,8 @@ private:
 
     void spawn_worker(int index, const std::string& fault_spec);
     void reap_children();
+    /// True when `session` belongs to a reaped child: it can never resume.
+    bool reaped(const std::string& session) const;
     void accept_connections();
     void read_connection(std::size_t i);
     void drop_connection(std::size_t i, const std::string& why, TimePoint now);
@@ -173,6 +175,9 @@ private:
     /// stay issued (deadline pushed to the grace window) awaiting a resume.
     /// Keyed by session id; the value is when the session parked.
     std::map<std::string, TimePoint> parked_;
+    /// Session prefixes ("w0/711.") of reaped children.  A reaped worker's
+    /// EOF can arrive after the reap; its leases must not park then.
+    std::set<std::string> reaped_prefixes_;
     int conn_seq_ = 0;
     int respawns_used_ = 0;
     bool done_ = false;
@@ -212,6 +217,7 @@ void Server::spawn_worker(int index, const std::string& fault_spec) {
         args.push_back("--fault");
         args.push_back(fault_spec);
     }
+    if (!config_.verbose) args.push_back("--quiet");
     pid_t pid = ::fork();
     if (pid < 0) throw common::Error(std::string("fork: ") + std::strerror(errno));
     if (pid == 0) {
@@ -250,10 +256,14 @@ void Server::reap_children() {
         }
         log("worker w" + std::to_string(index) + " pid " + std::to_string(child.pid) +
             " terminated (" + how + ")");
-        child.pid = -1;
         // A reaped process can never resume its parked sessions: force the
         // grace window shut so its leases re-issue now, not at the lapse.
-        const std::string prefix = "w" + std::to_string(index) + "/";
+        // The pid scopes the prefix to this process, not the slot's
+        // respawned replacement.
+        const std::string prefix =
+            "w" + std::to_string(index) + "/" + std::to_string(child.pid) + ".";
+        reaped_prefixes_.insert(prefix);
+        child.pid = -1;
         TimePoint now = Clock::now();
         for (auto it = parked_.begin(); it != parked_.end();) {
             if (it->first.compare(0, prefix.size(), prefix) != 0) {
@@ -276,6 +286,13 @@ void Server::reap_children() {
         }
     }
     for (int index : respawn) spawn_worker(index, "");
+}
+
+bool Server::reaped(const std::string& session) const {
+    return std::any_of(reaped_prefixes_.begin(), reaped_prefixes_.end(),
+                       [&](const std::string& prefix) {
+                           return session.compare(0, prefix.size(), prefix) == 0;
+                       });
 }
 
 void Server::accept_connections() {
@@ -308,7 +325,7 @@ void Server::drop_connection(std::size_t i, const std::string& why, TimePoint no
     if (conn.registered) {
         ++stats_.workers_lost;
         bool parked = false;
-        if (config_.session_grace_ms > 0.0) {
+        if (config_.session_grace_ms > 0.0 && !reaped(conn.key)) {
             // Park instead of expiring: the worker may only have lost its
             // socket (network blip, partition) while the shard keeps
             // executing — a resume within the grace window continues
@@ -508,7 +525,6 @@ void Server::handle_lease_request(Connection& conn, TimePoint now) {
     grant["type"] = "lease";
     grant["shard"] = lease->shard;
     grant["attempt"] = lease->attempt;
-    grant["hedge"] = lease->hedge;
     grant["manifest"] = lease->manifest.to_json();
     grant["records_path"] = records_path(lease->shard, lease->attempt);
     Json candidates = Json::array();
@@ -522,7 +538,7 @@ void Server::handle_lease_request(Connection& conn, TimePoint now) {
     grant["heartbeat_ms"] = config_.lease.heartbeat_ms;
     write_frame(conn.fd, grant);
     log("leased shard " + std::to_string(lease->shard) + " attempt " +
-        std::to_string(lease->attempt) + (lease->hedge ? " (hedge)" : "") + " to " + conn.key);
+        std::to_string(lease->attempt) + " to " + conn.key);
 }
 
 void Server::handle_complete(Connection& conn, int shard, int attempt, TimePoint now) {
@@ -823,7 +839,7 @@ ServeResult Server::run() {
                                            : Endpoint::unix_path(config_.socket_path + ".fault");
         proxy_ = std::make_unique<FrameProxy>(proxy_ep, dial_ep_, net_plan);
         dial_ep_ = proxy_->listen_endpoint();
-        log("net-fault proxy [" + net_plan.describe() + "] on " + dial_ep_.describe());
+        log("net-fault proxy [" + config_.net_fault + "] on " + dial_ep_.describe());
     }
     log("serving " + std::to_string(manifests_.size()) + " shards on " + listen_ep_.describe());
 

@@ -6,14 +6,14 @@
 // canonical merge), then runs a single-threaded poll loop over its listen
 // socket (unix-domain by default, TCP for multi-host audits — see
 // CoordConfig::listen_address): granting leases (coord/queue.h), tracking
-// heartbeats, expiring
-// and re-issuing lost shards with backoff, hedging stragglers, and folding
-// each completed shard's records into the prepared audit the moment they
-// arrive.  Fault tolerance leans entirely on the determinism contract
-// (docs/ARCHITECTURE.md): a re-executed shard reproduces its record stream
-// byte for byte, so the coordinator re-issues work freely and *verifies*
-// duplicate completions byte-for-byte instead of discarding them —
-// every race the fault model creates becomes a free end-to-end check.
+// heartbeats, expiring and re-issuing lost shards with backoff, and
+// folding each completed shard's records into the prepared audit the
+// moment they arrive.  Fault tolerance leans entirely on the determinism
+// contract (docs/ARCHITECTURE.md): a re-executed shard reproduces its
+// record stream byte for byte, so the coordinator re-issues work freely
+// and *verifies* a zombie's late duplicate completion byte-for-byte
+// instead of discarding it — every race the fault model creates becomes a
+// free end-to-end check.
 //
 // Workers are external by design (they connect over the socket; `ffaudit
 // worker`), but serve() can also spawn and babysit its own worker
@@ -61,11 +61,12 @@ struct CoordConfig {
     double worker_reply_timeout_ms = 0.0;
     std::string records_dir;      ///< Where per-attempt record streams live.
     std::string artifact_dir;     ///< Reproducer artifacts at finalize ("" = off).
-    LeaseConfig lease;            ///< Lease/heartbeat/backoff/straggler knobs.
+    LeaseConfig lease;            ///< Lease/heartbeat/backoff knobs.
     double poll_ms = 100.0;       ///< Event-loop tick bound (housekeeping cadence).
     /// After the last shard completes, keep serving this long while
-    /// in-flight duplicate attempts finish (their completions byte-verify
-    /// against the winners); 0 shuts down immediately.
+    /// zombies (holders of expired leases, still executing) finish: their
+    /// completions byte-verify against the winners.  0 shuts down
+    /// immediately.
     double linger_ms = 1000.0;
     int prepare_threads = 1;      ///< Pool width of the coordinator's own prepare.
     int spawn_workers = 0;        ///< Worker processes to fork+exec (0 = external only).
@@ -92,7 +93,8 @@ struct CoordConfig {
     /// budgets are unset or looser.
     std::int64_t quarantine_max_points = 16'000'000;
     std::int64_t quarantine_max_alloc_bytes = 256ll << 20;
-    bool verbose = false;         ///< Log lease traffic to stderr.
+    /// Log lease traffic to stderr; spawned workers get --quiet when off.
+    bool verbose = false;
 };
 
 /// Counters of one serve() run.

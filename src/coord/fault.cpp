@@ -2,7 +2,8 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <vector>
+#include <sstream>
+#include <type_traits>
 
 #include "common/error.h"
 
@@ -10,97 +11,69 @@ namespace ff::coord {
 
 namespace {
 
-std::vector<std::string> split(const std::string& s, char sep) {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t end = s.find(sep, start);
-        if (end == std::string::npos) end = s.size();
-        out.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return out;
-}
-
-std::int64_t parse_i64(const std::string& key, const std::string& value) {
+/// Parses all of `value` as one T; false on an empty, trailing-junk or
+/// out-of-range value.
+template <typename T>
+bool parse_whole(const std::string& value, T& out) {
     char* end = nullptr;
     errno = 0;
-    long long v = std::strtoll(value.c_str(), &end, 10);
-    if (value.empty() || end != value.c_str() + value.size() || errno != 0) {
-        throw common::Error("fault plan: " + key + "=" + value + ": expected an integer");
+    if constexpr (std::is_same_v<T, double>) {
+        out = std::strtod(value.c_str(), &end);
+    } else {
+        out = std::strtoll(value.c_str(), &end, 10);
     }
-    return static_cast<std::int64_t>(v);
-}
-
-double parse_f64(const std::string& key, const std::string& value) {
-    char* end = nullptr;
-    errno = 0;
-    double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() || errno != 0) {
-        throw common::Error("fault plan: " + key + "=" + value + ": expected a number");
-    }
-    return v;
+    return !value.empty() && end == value.c_str() + value.size() && errno == 0;
 }
 
 }  // namespace
 
-FaultPlan FaultPlan::parse(const std::string& spec) {
-    FaultPlan plan;
-    if (spec.empty()) return plan;
-    for (const std::string& token : split(spec, ',')) {
+void parse_fault_spec(const std::string& what, const std::string& spec,
+                      std::initializer_list<FaultKey> keys) {
+    auto unknown = [&](const std::string& token) {
+        std::string expected;
+        for (const FaultKey& key : keys) {
+            if (!expected.empty()) expected += &key == keys.end() - 1 ? " or " : ", ";
+            expected += key.name;
+            if (!std::holds_alternative<bool*>(key.field)) expected += "=N";
+        }
+        return common::Error(what + ": unknown token '" + token + "' (expected " + expected + ")");
+    };
+    std::istringstream tokens(spec);
+    std::string token;
+    while (std::getline(tokens, token, ',')) {
         if (token.empty()) continue;
-        std::size_t eq = token.find('=');
-        std::string key = token.substr(0, eq);
-        std::string value = eq == std::string::npos ? "" : token.substr(eq + 1);
-        bool has_value = eq != std::string::npos;
-        if (key == "kill-after-units" && has_value) {
-            plan.kill_after_units = parse_i64(key, value);
-        } else if (key == "abandon-after-units" && has_value) {
-            plan.abandon_after_units = parse_i64(key, value);
-        } else if (key == "spin-after-units" && has_value) {
-            plan.spin_after_units = parse_i64(key, value);
-        } else if (key == "hog-memory-after-units" && has_value) {
-            plan.hog_memory_after_units = parse_i64(key, value);
-        } else if (key == "disconnect-after-units" && has_value) {
-            plan.disconnect_after_units = parse_i64(key, value);
-        } else if (key == "delay-lease-ms" && has_value) {
-            plan.delay_lease_ms = parse_f64(key, value);
-        } else if (key == "drop-heartbeats" && !has_value) {
-            plan.drop_heartbeats = true;
-        } else {
-            throw common::Error(
-                "fault plan: unknown token '" + token +
-                "' (expected kill-after-units=N, abandon-after-units=N, "
-                "spin-after-units=N, hog-memory-after-units=N, "
-                "disconnect-after-units=N, delay-lease-ms=N or drop-heartbeats)");
+        const std::size_t eq = token.find('=');
+        const std::string name = token.substr(0, eq);
+        const bool has_value = eq != std::string::npos;
+        const std::string value = has_value ? token.substr(eq + 1) : "";
+        const FaultKey* key = nullptr;
+        for (const FaultKey& k : keys) {
+            if (name == k.name) key = &k;
+        }
+        if (!key || has_value == std::holds_alternative<bool*>(key->field)) throw unknown(token);
+        if (bool* const* flag = std::get_if<bool*>(&key->field)) {
+            **flag = true;
+        } else if (std::int64_t* const* n = std::get_if<std::int64_t*>(&key->field)) {
+            if (!parse_whole(value, **n)) {
+                throw common::Error(what + ": " + token + ": expected an integer");
+            }
+        } else if (!parse_whole(value, *std::get<double*>(key->field))) {
+            throw common::Error(what + ": " + token + ": expected a number");
         }
     }
-    return plan;
 }
 
-std::string FaultPlan::describe() const {
-    if (empty()) return "none";
-    std::string out;
-    auto add = [&out](const std::string& piece) {
-        if (!out.empty()) out += ",";
-        out += piece;
-    };
-    if (kill_after_units >= 0) add("kill-after-units=" + std::to_string(kill_after_units));
-    if (abandon_after_units >= 0) {
-        add("abandon-after-units=" + std::to_string(abandon_after_units));
-    }
-    if (spin_after_units >= 0) add("spin-after-units=" + std::to_string(spin_after_units));
-    if (hog_memory_after_units >= 0) {
-        add("hog-memory-after-units=" + std::to_string(hog_memory_after_units));
-    }
-    if (disconnect_after_units >= 0) {
-        add("disconnect-after-units=" + std::to_string(disconnect_after_units));
-    }
-    if (drop_heartbeats) add("drop-heartbeats");
-    if (delay_lease_ms > 0.0) {
-        add("delay-lease-ms=" + std::to_string(static_cast<long long>(delay_lease_ms)));
-    }
-    return out;
+FaultPlan FaultPlan::parse(const std::string& spec) {
+    FaultPlan plan;
+    parse_fault_spec("fault plan", spec,
+                     {{"kill-after-units", &plan.kill_after_units},
+                      {"abandon-after-units", &plan.abandon_after_units},
+                      {"spin-after-units", &plan.spin_after_units},
+                      {"hog-memory-after-units", &plan.hog_memory_after_units},
+                      {"disconnect-after-units", &plan.disconnect_after_units},
+                      {"delay-lease-ms", &plan.delay_lease_ms},
+                      {"drop-heartbeats", &plan.drop_heartbeats}});
+    return plan;
 }
 
 }  // namespace ff::coord

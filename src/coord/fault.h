@@ -12,12 +12,29 @@
 #pragma once
 
 /// \file
-/// FaultPlan: parseable, deterministic worker fault injection.
+/// FaultPlan: parseable, deterministic worker fault injection, and the
+/// fault-spec grammar it shares with NetFaultPlan (coord/net_fault.h).
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <variant>
 
 namespace ff::coord {
+
+/// One key of a fault spec and the plan field it sets: an integer or a
+/// number takes `key=value`, a flag (bool) is the bare `key`.
+struct FaultKey {
+    const char* name;
+    std::variant<std::int64_t*, double*, bool*> field;
+};
+
+/// The grammar of every fault spec: comma-separated `key=value` and bare
+/// `flag` tokens, empty tokens skipped.  Sets the fields named by `keys`;
+/// throws common::Error prefixed with `what` ("fault plan") on an unknown
+/// key or a malformed value.
+void parse_fault_spec(const std::string& what, const std::string& spec,
+                      std::initializer_list<FaultKey> keys);
 
 /// What a worker sabotages, and when.  One-shot faults arm on the first
 /// lease the worker receives and fire once; drop-heartbeats is persistent.
@@ -78,9 +95,6 @@ struct FaultPlan {
     /// delay-lease-ms.  Empty spec = no faults.  Throws common::Error on
     /// unknown keys or malformed values.
     static FaultPlan parse(const std::string& spec);
-
-    /// Human-readable summary ("none" when empty) for logs.
-    std::string describe() const;
 };
 
 }  // namespace ff::coord

@@ -6,11 +6,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.h"
 #include "common/json.h"
+#include "coord/fault.h"
 
 namespace ff::coord {
 
@@ -22,38 +22,6 @@ std::int64_t steady_now_ms() {
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                SteadyClock::now().time_since_epoch())
         .count();
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t end = s.find(sep, start);
-        if (end == std::string::npos) end = s.size();
-        out.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return out;
-}
-
-std::int64_t parse_i64(const std::string& key, const std::string& value) {
-    char* end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(value.c_str(), &end, 10);
-    if (value.empty() || end != value.c_str() + value.size() || errno != 0) {
-        throw common::Error("net fault plan: " + key + "=" + value + ": expected an integer");
-    }
-    return static_cast<std::int64_t>(v);
-}
-
-double parse_f64(const std::string& key, const std::string& value) {
-    char* end = nullptr;
-    errno = 0;
-    double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() || errno != 0) {
-        throw common::Error("net fault plan: " + key + "=" + value + ": expected a number");
-    }
-    return v;
 }
 
 std::uint32_t get_u32_be(const char* in) {
@@ -114,66 +82,19 @@ bool send_all(int fd, const std::string& bytes) {
 
 NetFaultPlan NetFaultPlan::parse(const std::string& spec) {
     NetFaultPlan plan;
-    if (spec.empty()) return plan;
-    for (const std::string& token : split(spec, ',')) {
-        if (token.empty()) continue;
-        std::size_t eq = token.find('=');
-        std::string key = token.substr(0, eq);
-        std::string value = eq == std::string::npos ? "" : token.substr(eq + 1);
-        bool has_value = eq != std::string::npos;
-        if (key == "drop-frame-every-n" && has_value) {
-            plan.drop_frame_every_n = parse_i64(key, value);
-            if (plan.drop_frame_every_n == 1) {
-                throw common::Error(
-                    "net fault plan: drop-frame-every-n=1 would drop every hello and "
-                    "wedge the handshake forever; use n >= 2");
-            }
-        } else if (key == "delay-frame-ms" && has_value) {
-            plan.delay_frame_ms = parse_f64(key, value);
-        } else if ((key == "duplicate-frame" || key == "duplicate-frame-every-n") &&
-                   has_value) {
-            plan.duplicate_frame_every_n = parse_i64(key, value);
-        } else if (key == "corrupt-frame-byte" && has_value) {
-            plan.corrupt_frame_byte = parse_i64(key, value);
-        } else if (key == "partition-after-units" && has_value) {
-            plan.partition_after_units = parse_i64(key, value);
-        } else if (key == "heal-ms" && has_value) {
-            plan.heal_ms = parse_f64(key, value);
-        } else {
-            throw common::Error(
-                "net fault plan: unknown token '" + token +
-                "' (expected drop-frame-every-n=N, delay-frame-ms=N, "
-                "duplicate-frame=N, corrupt-frame-byte=N, "
-                "partition-after-units=N or heal-ms=N)");
-        }
+    parse_fault_spec("net fault plan", spec,
+                     {{"drop-frame-every-n", &plan.drop_frame_every_n},
+                      {"delay-frame-ms", &plan.delay_frame_ms},
+                      {"duplicate-frame", &plan.duplicate_frame_every_n},
+                      {"corrupt-frame-byte", &plan.corrupt_frame_byte},
+                      {"partition-after-units", &plan.partition_after_units},
+                      {"heal-ms", &plan.heal_ms}});
+    if (plan.drop_frame_every_n == 1) {
+        throw common::Error(
+            "net fault plan: drop-frame-every-n=1 would drop every hello and "
+            "wedge the handshake forever; use n >= 2");
     }
     return plan;
-}
-
-std::string NetFaultPlan::describe() const {
-    if (empty()) return "none";
-    std::string out;
-    auto add = [&out](const std::string& piece) {
-        if (!out.empty()) out += ",";
-        out += piece;
-    };
-    if (drop_frame_every_n > 0) {
-        add("drop-frame-every-n=" + std::to_string(drop_frame_every_n));
-    }
-    if (delay_frame_ms > 0.0) {
-        add("delay-frame-ms=" + std::to_string(static_cast<long long>(delay_frame_ms)));
-    }
-    if (duplicate_frame_every_n > 0) {
-        add("duplicate-frame=" + std::to_string(duplicate_frame_every_n));
-    }
-    if (corrupt_frame_byte > 0) {
-        add("corrupt-frame-byte=" + std::to_string(corrupt_frame_byte));
-    }
-    if (partition_after_units >= 0) {
-        add("partition-after-units=" + std::to_string(partition_after_units));
-        add("heal-ms=" + std::to_string(static_cast<long long>(heal_ms)));
-    }
-    return out;
 }
 
 /// One relayed connection: the accepted worker socket and the upstream

@@ -76,14 +76,11 @@ struct NetFaultPlan {
 
     /// Parses a comma-separated spec, e.g.
     /// "drop-frame-every-n=7,delay-frame-ms=5,partition-after-units=4,heal-ms=1500".
-    /// Keys: drop-frame-every-n, delay-frame-ms, duplicate-frame (alias
-    /// duplicate-frame-every-n), corrupt-frame-byte, partition-after-units,
-    /// heal-ms.  Empty spec = no faults.  Throws common::Error on unknown
-    /// keys or malformed values.
+    /// Keys: drop-frame-every-n, delay-frame-ms, duplicate-frame,
+    /// corrupt-frame-byte, partition-after-units, heal-ms — the grammar of
+    /// parse_fault_spec (coord/fault.h).  Empty spec = no faults.  Throws
+    /// common::Error on unknown keys or malformed values.
     static NetFaultPlan parse(const std::string& spec);
-
-    /// Human-readable summary ("none" when empty) for logs.
-    std::string describe() const;
 };
 
 /// Monotonic counters of what the proxy did (read anytime; exact after

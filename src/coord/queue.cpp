@@ -32,80 +32,29 @@ LeaseQueue::LeaseQueue(std::vector<shard::ShardManifest> shards, const LeaseConf
 }
 
 std::optional<Lease> LeaseQueue::acquire(const std::string& worker, TimePoint now) {
-    // First choice: the lowest-index Pending shard whose backoff elapsed.
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         ShardEntry& entry = shards_[i];
         if (entry.state != ShardState::Pending) continue;
         if (entry.attempts_issued > 0 && now < entry.not_before) continue;
-        Attempt attempt;
-        attempt.attempt = entry.attempts_issued++;
-        attempt.worker = worker;
-        attempt.issued = now;
-        attempt.deadline = add_ms(now, config_.lease_ms);
-        entry.active.push_back(attempt);
+        entry.active = Attempt{entry.attempts_issued++, worker, add_ms(now, config_.lease_ms)};
         entry.state = ShardState::Leased;
         ++stats_.granted;
-        Lease lease;
-        lease.shard = static_cast<int>(i);
-        lease.attempt = attempt.attempt;
-        lease.manifest = entry.manifest;
-        return lease;
-    }
-    // Otherwise hedge a straggler: a Leased shard under the attempt cap
-    // whose newest attempt has been out longer than straggler_factor
-    // leases.  Pick the one with the oldest newest-attempt so the worst
-    // straggler is hedged first.
-    double straggler_ms = config_.straggler_factor * config_.lease_ms;
-    auto newest_issue = [](const ShardEntry& e) {
-        TimePoint newest = e.active.front().issued;
-        for (const Attempt& a : e.active) newest = std::max(newest, a.issued);
-        return newest;
-    };
-    bool found = false;
-    std::size_t best_index = 0;
-    TimePoint best_newest{};
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        const ShardEntry& entry = shards_[i];
-        if (entry.state != ShardState::Leased) continue;
-        if (static_cast<int>(entry.active.size()) >= config_.max_active_per_shard) continue;
-        TimePoint newest = newest_issue(entry);
-        if (ms_until(newest, now) < straggler_ms) continue;  // not old enough
-        if (!found || newest < best_newest) {
-            found = true;
-            best_index = i;
-            best_newest = newest;
-        }
-    }
-    if (found) {
-        ShardEntry& entry = shards_[best_index];
-        Attempt attempt;
-        attempt.attempt = entry.attempts_issued++;
-        attempt.worker = worker;
-        attempt.issued = now;
-        attempt.deadline = add_ms(now, config_.lease_ms);
-        entry.active.push_back(attempt);
-        ++stats_.granted;
-        ++stats_.hedges;
-        Lease lease;
-        lease.shard = static_cast<int>(best_index);
-        lease.attempt = attempt.attempt;
-        lease.hedge = true;
-        lease.manifest = entry.manifest;
-        return lease;
+        return Lease{static_cast<int>(i), entry.active->attempt, entry.manifest};
     }
     return std::nullopt;
 }
 
+LeaseQueue::Attempt* LeaseQueue::find_active(int shard, int attempt) {
+    if (shard < 0 || shard >= shard_count()) return nullptr;
+    std::optional<Attempt>& active = shards_[shard].active;
+    return active && active->attempt == attempt ? &*active : nullptr;
+}
+
 bool LeaseQueue::heartbeat(int shard, int attempt, TimePoint now) {
-    if (shard < 0 || shard >= shard_count()) return false;
-    ShardEntry& entry = shards_[shard];
-    for (Attempt& a : entry.active) {
-        if (a.attempt == attempt) {
-            a.deadline = add_ms(now, config_.lease_ms);
-            return true;
-        }
-    }
-    return false;
+    Attempt* a = find_active(shard, attempt);
+    if (!a) return false;
+    a->deadline = add_ms(now, config_.lease_ms);
+    return true;
 }
 
 bool LeaseQueue::complete(int shard, int attempt) {
@@ -122,7 +71,7 @@ bool LeaseQueue::complete(int shard, int attempt) {
     // or even Failed (a zombie rescued the shard after the retry cap).
     if (entry.state == ShardState::Failed) --stats_.shards_failed;
     entry.state = ShardState::Done;
-    entry.active.clear();
+    entry.active.reset();
     entry.last_error.clear();
     ++stats_.completions;
     return true;
@@ -130,7 +79,7 @@ bool LeaseQueue::complete(int shard, int attempt) {
 
 void LeaseQueue::extend_active(TimePoint now) {
     for (ShardEntry& entry : shards_) {
-        for (Attempt& a : entry.active) a.deadline = add_ms(now, config_.lease_ms);
+        if (entry.active) entry.active->deadline = add_ms(now, config_.lease_ms);
     }
 }
 
@@ -142,39 +91,20 @@ int LeaseQueue::add_shard(const shard::ShardManifest& manifest) {
 }
 
 void LeaseQueue::fail(int shard, int attempt, TimePoint now, const std::string& error) {
-    if (shard < 0 || shard >= shard_count()) return;
-    ShardEntry& entry = shards_[shard];
-    auto it = std::find_if(entry.active.begin(), entry.active.end(),
-                           [&](const Attempt& a) { return a.attempt == attempt; });
-    if (it == entry.active.end()) return;  // stale: already expired/requeued
-    entry.active.erase(it);
-    ++entry.failures;
+    if (!find_active(shard, attempt)) return;  // stale: already expired/requeued
     ++stats_.worker_failures;
-    entry.last_error = error;
-    if (entry.state == ShardState::Leased && entry.active.empty()) {
-        requeue_or_fail(entry, now);
-    }
+    drop_attempt(shards_[shard], now, error);
 }
 
 std::vector<LeaseQueue::LostAttempt> LeaseQueue::expire(TimePoint now) {
     std::vector<LostAttempt> lost;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         ShardEntry& entry = shards_[i];
-        if (entry.state != ShardState::Leased) continue;
-        for (auto it = entry.active.begin(); it != entry.active.end();) {
-            if (it->deadline <= now) {
-                lost.push_back({static_cast<int>(i), it->attempt, it->worker});
-                ++entry.failures;
-                ++stats_.expirations;
-                entry.last_error = "lease expired (worker " + it->worker + ")";
-                it = entry.active.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        if (entry.state == ShardState::Leased && entry.active.empty()) {
-            requeue_or_fail(entry, now);
-        }
+        if (!entry.active || entry.active->deadline > now) continue;
+        const std::string worker = entry.active->worker;
+        lost.push_back({static_cast<int>(i), entry.active->attempt, worker});
+        ++stats_.expirations;
+        drop_attempt(entry, now, "lease expired (worker " + worker + ")");
     }
     return lost;
 }
@@ -184,20 +114,9 @@ std::vector<LeaseQueue::LostAttempt> LeaseQueue::worker_lost(const std::string& 
     std::vector<LostAttempt> lost;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         ShardEntry& entry = shards_[i];
-        if (entry.state != ShardState::Leased) continue;
-        for (auto it = entry.active.begin(); it != entry.active.end();) {
-            if (it->worker == worker) {
-                lost.push_back({static_cast<int>(i), it->attempt, it->worker});
-                ++entry.failures;
-                entry.last_error = "worker " + worker + " disconnected";
-                it = entry.active.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        if (entry.state == ShardState::Leased && entry.active.empty()) {
-            requeue_or_fail(entry, now);
-        }
+        if (!entry.active || entry.active->worker != worker) continue;
+        lost.push_back({static_cast<int>(i), entry.active->attempt, worker});
+        drop_attempt(entry, now, "worker " + worker + " disconnected");
     }
     return lost;
 }
@@ -206,20 +125,20 @@ std::vector<LeaseQueue::LostAttempt> LeaseQueue::park_worker(const std::string& 
                                                              TimePoint now, double grace_ms) {
     std::vector<LostAttempt> parked;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-        ShardEntry& entry = shards_[i];
-        if (entry.state != ShardState::Leased) continue;
-        for (Attempt& a : entry.active) {
-            if (a.worker != worker) continue;
-            // max(): a lease whose deadline already reaches past the grace
-            // window keeps it — parking never *shortens* a lease.
-            a.deadline = std::max(a.deadline, add_ms(now, grace_ms));
-            parked.push_back({static_cast<int>(i), a.attempt, a.worker});
-        }
+        std::optional<Attempt>& a = shards_[i].active;
+        if (!a || a->worker != worker) continue;
+        // max(): a lease whose deadline already reaches past the grace
+        // window keeps it — parking never *shortens* a lease.
+        a->deadline = std::max(a->deadline, add_ms(now, grace_ms));
+        parked.push_back({static_cast<int>(i), a->attempt, worker});
     }
     return parked;
 }
 
-void LeaseQueue::requeue_or_fail(ShardEntry& entry, TimePoint now) {
+void LeaseQueue::drop_attempt(ShardEntry& entry, TimePoint now, std::string error) {
+    entry.active.reset();
+    ++entry.failures;
+    entry.last_error = std::move(error);
     if (entry.failures >= config_.max_failures) {
         entry.state = ShardState::Failed;
         ++stats_.shards_failed;
@@ -256,9 +175,8 @@ int LeaseQueue::attempts_issued(int shard) const {
 }
 
 int LeaseQueue::active_attempts() const {
-    int n = 0;
-    for (const ShardEntry& entry : shards_) n += static_cast<int>(entry.active.size());
-    return n;
+    return static_cast<int>(std::count_if(shards_.begin(), shards_.end(),
+                                          [](const ShardEntry& e) { return e.active.has_value(); }));
 }
 
 std::optional<double> LeaseQueue::next_event_ms(TimePoint now) const {
@@ -267,20 +185,11 @@ std::optional<double> LeaseQueue::next_event_ms(TimePoint now) const {
         double clamped = std::max(0.0, ms);
         if (!best || clamped < *best) best = clamped;
     };
-    double straggler_ms = config_.straggler_factor * config_.lease_ms;
     for (const ShardEntry& entry : shards_) {
-        if (entry.state == ShardState::Pending && entry.attempts_issued > 0) {
+        if (entry.active) {
+            consider(ms_until(now, entry.active->deadline));  // lease deadline
+        } else if (entry.state == ShardState::Pending && entry.attempts_issued > 0) {
             consider(ms_until(now, entry.not_before));  // backoff expiry
-        } else if (entry.state == ShardState::Leased) {
-            TimePoint newest = entry.active.front().issued;
-            for (const Attempt& a : entry.active) {
-                consider(ms_until(now, a.deadline));  // lease deadline
-                newest = std::max(newest, a.issued);
-            }
-            if (static_cast<int>(entry.active.size()) < config_.max_active_per_shard) {
-                // The moment this lease ages into hedge eligibility.
-                consider(ms_until(now, add_ms(newest, straggler_ms)));
-            }
         }
     }
     return best;

@@ -3,25 +3,25 @@
 // Every shard of the plan moves through Pending -> Leased -> Done (or
 // Failed after too many losses).  A *lease* hands one shard to one worker
 // for a bounded time; heartbeats extend the deadline, silence expires it
-// and puts the shard back in the queue behind an exponential backoff.
-// Near the end of an audit the queue duplicate-issues long-running leases
-// ("straggler hedging"): a second attempt races the first, the first
-// completion wins, and the loser's record file is byte-verified against
-// the winner's — re-execution is safe *because* the record streams are
-// deterministic (docs/ARCHITECTURE.md, contract clauses 6-7), so hedging
-// costs only wasted work, never correctness.
+// and puts the shard back in the queue behind an exponential backoff.  A
+// shard has at most one outstanding attempt.  The holder of an expired
+// attempt may still be executing (a zombie): its late completion is
+// accepted, and if the re-issued attempt got there first, the zombie's
+// record file is byte-verified against the winner's — re-execution is
+// safe *because* the record streams are deterministic (docs/ARCHITECTURE.md,
+// contract clauses 6-7).
 //
 // The queue itself never reads a clock or sleeps: every method takes the
 // caller's `now`, and next_event_ms() tells the caller how long it may
-// sleep before something (a deadline, a backoff expiry, a straggler
-// becoming hedgeable) needs attention.  Unit tests drive it with a fake
-// clock and assert the exact transition sequence; the coordinator's event
-// loop feeds it std::chrono::steady_clock.
+// sleep before something (a deadline or a backoff expiry) needs
+// attention.  Unit tests drive it with a fake clock and assert the exact
+// transition sequence; the coordinator's event loop feeds it
+// std::chrono::steady_clock.
 #pragma once
 
 /// \file
 /// LeaseQueue: leases with deadlines, heartbeat extension, backoff
-/// re-issue, retry caps and straggler duplicate-issue — with injected time.
+/// re-issue and retry caps — with injected time.
 
 #include <chrono>
 #include <cstdint>
@@ -51,11 +51,6 @@ struct LeaseConfig {
     /// Delay schedule for re-issuing a lost shard: attempt k of the retry
     /// waits backoff.delay_ms(k-1) before the shard is grantable again.
     common::BackoffPolicy backoff{200.0, 2.0, 10000.0, 0.2};
-    /// An idle worker may duplicate-issue ("hedge") a running lease whose
-    /// newest attempt is older than straggler_factor * lease_ms.
-    double straggler_factor = 3.0;
-    /// Concurrent attempts of one shard (first issue + hedges).
-    int max_active_per_shard = 2;
     /// Seed of the backoff-jitter Rng; fixed seed = reproducible schedule.
     std::uint64_t seed = 0x5eedc0de;
 };
@@ -63,7 +58,7 @@ struct LeaseConfig {
 /// Lifecycle of one shard in the queue.
 enum class ShardState {
     Pending,  ///< Waiting to be (re-)granted.
-    Leased,   ///< At least one attempt is out.
+    Leased,   ///< Its one attempt is out.
     Done,     ///< A completion was accepted; terminal.
     Failed,   ///< Retry cap exhausted; terminal unless a zombie completes.
 };
@@ -72,19 +67,20 @@ enum class ShardState {
 struct Lease {
     int shard = 0;    ///< Shard index into the plan.
     int attempt = 0;  ///< Unique per shard, monotonically increasing.
-    bool hedge = false;  ///< True for a straggler duplicate-issue.
     shard::ShardManifest manifest;  ///< The work itself.
 };
 
 /// Monotonic counters of queue activity (surfaced in CoordStats).
 struct LeaseQueueStats {
-    std::int64_t granted = 0;       ///< Leases handed out (incl. hedges).
-    std::int64_t hedges = 0;        ///< Straggler duplicate-issues.
+    std::int64_t granted = 0;       ///< Leases handed out.
+    /// Always zero: the queue no longer duplicate-issues running leases.
+    /// Kept only because perfbench/trace.cpp still reads it.
+    std::int64_t hedges = 0;
     std::int64_t expirations = 0;   ///< Attempts lost to a missed deadline.
     std::int64_t worker_failures = 0;  ///< Attempts lost to a reported error.
     std::int64_t requeues = 0;      ///< Shard returns to Pending (with backoff).
     std::int64_t completions = 0;   ///< First completions accepted.
-    std::int64_t duplicate_completions = 0;  ///< Losing hedge/zombie completions.
+    std::int64_t duplicate_completions = 0;  ///< Zombie completions of a Done shard.
     int shards_failed = 0;          ///< Shards that hit the retry cap.
 };
 
@@ -94,9 +90,7 @@ class LeaseQueue {
 public:
     LeaseQueue(std::vector<shard::ShardManifest> shards, const LeaseConfig& config);
 
-    /// Grants the lowest-index grantable shard: a Pending shard whose
-    /// backoff has elapsed, else a hedge on the oldest-newest-attempt
-    /// Leased shard that qualifies (see LeaseConfig::straggler_factor).
+    /// Grants the lowest-index Pending shard whose backoff has elapsed;
     /// nullopt when nothing is grantable right now.
     std::optional<Lease> acquire(const std::string& worker, TimePoint now);
 
@@ -163,13 +157,12 @@ public:
     int shard_count() const { return static_cast<int>(shards_.size()); }
     /// Attempts issued for the shard so far (the next attempt id).
     int attempts_issued(int shard) const;
-    /// Active (undropped) attempts across all shards.
+    /// Outstanding attempts across all shards (at most one per shard).
     int active_attempts() const;
 
-    /// Milliseconds until the queue next needs attention (a deadline, a
-    /// backoff expiry, or a lease aging into hedge eligibility) — the
-    /// caller's poll timeout.  nullopt when nothing is scheduled (queue
-    /// fully idle, done, or failed).
+    /// Milliseconds until the queue next needs attention (a deadline or a
+    /// backoff expiry) — the caller's poll timeout.  nullopt when nothing
+    /// is scheduled (queue fully idle, done, or failed).
     std::optional<double> next_event_ms(TimePoint now) const;
 
     const LeaseQueueStats& stats() const { return stats_; }
@@ -178,22 +171,23 @@ private:
     struct Attempt {
         int attempt = 0;
         std::string worker;
-        TimePoint issued;
         TimePoint deadline;
     };
     struct ShardEntry {
         shard::ShardManifest manifest;
         ShardState state = ShardState::Pending;
-        std::vector<Attempt> active;  ///< Outstanding attempts (<= cap).
+        std::optional<Attempt> active;  ///< The outstanding attempt while Leased.
         int attempts_issued = 0;
         int failures = 0;         ///< Expiries + reported failures.
         TimePoint not_before{};   ///< Backoff gate while Pending.
         std::string last_error;
     };
 
-    /// Handles the last active attempt of a Leased shard going away:
+    /// The shard's outstanding attempt if it is `attempt`, else nullptr.
+    Attempt* find_active(int shard, int attempt);
+    /// Drops a Leased shard's attempt as one failure noted as `error`:
     /// requeue behind backoff, or Failed at the cap.
-    void requeue_or_fail(ShardEntry& entry, TimePoint now);
+    void drop_attempt(ShardEntry& entry, TimePoint now, std::string error);
 
     std::vector<ShardEntry> shards_;
     LeaseConfig config_;

@@ -342,22 +342,29 @@ Worker::Outcome Worker::serve_leases() {
             Json request = Json::object();
             request["type"] = "lease-request";
             conn_.write(request);
-            bool served = false;
-            while (!served) {
-                ReadResult r = conn_.read(static_cast<int>(config_.reply_timeout_ms));
+            // Read replies until one settles this request: a lease run to
+            // its end, or a wait whose retry_ms passed without a `done`.
+            bool waiting = false;
+            double timeout_ms = config_.reply_timeout_ms;
+            while (true) {
+                ReadResult r = conn_.read(static_cast<int>(timeout_ms));
                 if (r.status == ReadStatus::Timeout) {
+                    if (waiting) break;  // the wait is over: re-request
                     throw common::Error("no reply from the coordinator");
                 }
                 if (r.status == ReadStatus::Closed) return Outcome::Reconnect;
                 const std::string& type = common::json_string(r.message, "type");
                 if (type == "done") return Outcome::Done;
                 if (type == "wait") {
-                    sleep_ms(common::json_double(r.message, "retry_ms"));
-                    served = true;  // re-request
+                    // Wait on the socket, not in a sleep: the coordinator
+                    // pushes `done` to idle workers the moment the last
+                    // shard lands, and that must end the wait at once.
+                    waiting = true;
+                    timeout_ms = common::json_double(r.message, "retry_ms");
                 } else if (type == "lease") {
                     Outcome out = execute_lease(std::move(r.message));
                     if (out != Outcome::Continue) return out;
-                    served = true;
+                    break;
                 } else if (type == "error") {
                     throw FatalError("coordinator: " + common::json_string(r.message, "error"));
                 } else {

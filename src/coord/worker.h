@@ -15,7 +15,7 @@
 //
 // Workers are deliberately stateless between leases: every fact they need
 // is in the lease grant, so a worker can die at ANY instant and its
-// replacement (or a hedge) continues from the last durable checkpoint.
+// replacement continues from the last durable checkpoint.
 #pragma once
 
 /// \file

@@ -20,9 +20,8 @@
 //
 //   ffaudit serve --workload gemm --records-dir records/ --spawn-workers 4
 //       plans the shards, leases them to workers over a unix socket (or TCP
-//       with --listen host:port), re-issues crashed/expired leases, hedges
-//       stragglers, and folds completions into the same canonical report as
-//       `ffaudit run`;
+//       with --listen host:port), re-issues crashed/expired leases, and
+//       folds completions into the same canonical report as `ffaudit run`;
 //   ffaudit worker --socket records/coord.sock      (or --connect host:port)
 //       one worker: lease, execute, report, repeat until the audit is done;
 //   ffaudit fsck --records-dir records/
@@ -116,8 +115,8 @@ int usage(const char* detail = nullptr) {
                  "           [--shards <n>] [--artifact-dir <dir>] [--checkpoint-interval <n>]\n"
                  "           [--lease-ms <x>] [--heartbeat-ms <x>] [--max-failures <n>]\n"
                  "           [--backoff-base-ms <x>] [--backoff-max-ms <x>]\n"
-                 "           [--straggler-factor <x>] [--linger-ms <x>]\n"
-                 "           [--max-respawns <n>] [--worker-fault <k>=<spec>] [--quiet]\n"
+                 "           [--linger-ms <x>] [--max-respawns <n>]\n"
+                 "           [--worker-fault <k>=<spec>] [--quiet]\n"
                  "           [--worker-watchdog-ms <x>] [--worker-rlimit-as <bytes>]\n"
                  "           [--quarantine-max-points <n>] [--quarantine-max-alloc-bytes <n>]\n"
                  "           [--session-grace-ms <x>] [--worker-reply-timeout-ms <x>]\n"
@@ -403,8 +402,6 @@ int cmd_serve(const std::vector<std::string>& args) {
             config.lease.backoff.base_ms = std::stod(flag_value(args, i));
         else if (args[i] == "--backoff-max-ms")
             config.lease.backoff.max_ms = std::stod(flag_value(args, i));
-        else if (args[i] == "--straggler-factor")
-            config.lease.straggler_factor = std::stod(flag_value(args, i));
         else if (args[i] == "--linger-ms") config.linger_ms = std::stod(flag_value(args, i));
         else if (args[i] == "--worker-watchdog-ms")
             config.worker_watchdog_ms = std::stod(flag_value(args, i));
@@ -456,13 +453,12 @@ int cmd_serve(const std::vector<std::string>& args) {
     coord::ServeResult result = coord::serve(config);
     const coord::CoordStats& s = result.stats;
     std::printf("served %d shard(s): %lld lease(s), %lld expiration(s), %lld requeue(s), "
-                "%lld hedge(s), %lld duplicate completion(s) (%d byte-verified), "
+                "%lld duplicate completion(s) (%d byte-verified), "
                 "%d worker(s) seen, %d lost, %d spawned, %zu quarantined unit(s), "
                 "%d split shard(s), %d session(s) parked, %d resumed, %d grace-expired\n",
                 s.shards_merged, static_cast<long long>(s.queue.granted),
                 static_cast<long long>(s.queue.expirations),
                 static_cast<long long>(s.queue.requeues),
-                static_cast<long long>(s.queue.hedges),
                 static_cast<long long>(s.queue.duplicate_completions),
                 s.duplicate_files_verified, s.workers_seen, s.workers_lost, s.workers_spawned,
                 s.quarantined_units.size(), s.shards_split, s.sessions_parked,
