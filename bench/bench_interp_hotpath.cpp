@@ -28,6 +28,11 @@
 // the inner extent L of shape {N/L, L} then prints the crossover: batching
 // ties with width 1 at L = 1 and wins from L = 2.
 //
+// A third section measures the kernel tier against the generic path on the
+// two scope shapes it covers through kernel levels and window lanes: a
+// MapTiling'd reduction nest (one launch per tile; bar >= 1.5x) and a 3-D
+// 27-point stencil (one window input per point; bar >= 5x).
+//
 // Lines prefixed BENCH_KV are machine-readable; scripts/bench_hotpath_json.py
 // folds them into a BENCH_hotpath.json baseline artifact (CI uploads it).
 #include "bench_common.h"
@@ -38,6 +43,7 @@
 #include <iterator>
 #include <thread>
 
+#include "transforms/map_tiling.h"
 #include "workloads/builders.h"
 
 namespace {
@@ -145,16 +151,17 @@ ir::SDFG build_flat(ir::DType dtype) {
     return p;
 }
 
-/// Map points/second on the flat chain for one dtype with inner extent
-/// `inner` (kFlatN points per map either way).
-double measure_flat(ir::DType dtype, std::int64_t inner, int reps,
+/// Map points/second of `p` under `binds` on the kernel tier (`specialize`)
+/// or the generic compiled path, over `reps` pre-sampled input contexts.
+double points_per_s(const ir::SDFG& p, const sym::Bindings& binds, bool specialize, int reps,
                     interp::SpecStats* spec = nullptr) {
-    ir::SDFG p = build_flat(dtype);
-    interp::Interpreter interp;
-    const sym::Bindings binds{{"R", kFlatN / inner}, {"C", inner}};
+    interp::ExecConfig cfg;
+    cfg.specialize = specialize;
+    interp::Interpreter interp(cfg);
 
     interp::Context warm = bench::random_inputs(p, binds);
-    if (!interp.run(p, warm).ok()) throw common::Error("flat warmup failed");
+    const interp::ExecResult first = interp.run(p, warm);
+    if (!first.ok()) throw common::Error(p.name() + " warmup failed: " + first.message);
 
     std::vector<interp::Context> contexts;
     contexts.reserve(static_cast<std::size_t>(reps));
@@ -163,11 +170,74 @@ double measure_flat(ir::DType dtype, std::int64_t inner, int reps,
 
     const auto t0 = std::chrono::steady_clock::now();
     for (interp::Context& ctx : contexts)
-        if (!interp.run(p, ctx).ok()) throw common::Error("flat run failed");
+        if (!interp.run(p, ctx).ok()) throw common::Error(p.name() + " run failed");
     const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                             .count();
     if (spec) *spec = interp.plan_cache()->spec_stats();
-    return static_cast<double>(2 * kFlatN) * reps / secs;
+    return static_cast<double>(first.points) * reps / secs;
+}
+
+/// Map points/second on the flat chain for one dtype with inner extent
+/// `inner` (kFlatN points per map either way).
+double measure_flat(ir::DType dtype, std::int64_t inner, int reps,
+                    interp::SpecStats* spec = nullptr) {
+    return points_per_s(build_flat(dtype), {{"R", kFlatN / inner}, {"C", inner}},
+                        /*specialize=*/true, reps, spec);
+}
+
+// --- Kernel levels and window lanes: kernel tier vs generic -------------------
+
+constexpr std::int64_t kTiledN = 48;
+constexpr std::int64_t kStencilN = 24;
+
+/// Tiled reduction: C[i, j] += A[i, k] * B[k, j] with the k map tiled by
+/// MapTiling(8), so its range reads k__tile and the kernel covers the
+/// point level below it — one launch per tile.
+ir::SDFG build_tiled() {
+    ir::SDFG p("tiled");
+    p.add_symbol("N");
+    const sym::ExprPtr n = sym::symb("N");
+    p.add_array("A", ir::DType::F64, {n, n});
+    p.add_array("B", ir::DType::F64, {n, n});
+    p.add_array("C", ir::DType::F64, {n, n});
+    ir::State& st = p.state(p.add_state("main", true));
+    const ir::NodeId c0 = workloads::zero_init(p, st, "C");
+    workloads::matmul_nest(p, st, st.add_access("A"), st.add_access("B"), c0, n, n, n, "mm");
+    xform::MapTiling tiling(8);
+    for (const xform::Match& m : tiling.find_matches(p))
+        if (m.description.find("'mm_k'") != std::string::npos) {
+            tiling.apply(p, m);
+            return p;
+        }
+    throw common::Error("tiled bench: no match for the mm_k map");
+}
+
+/// heat_3d's 27-point stencil: B[i, j, k] from the window
+/// A[i-1:i+1, j-1:j+1, k-1:k+1], one window input per point.
+ir::SDFG build_stencil() {
+    ir::SDFG p("stencil");
+    p.add_symbol("N");
+    const sym::ExprPtr n = sym::symb("N");
+    p.add_array("A", ir::DType::F64, {n, n, n});
+    p.add_array("B", ir::DType::F64, {n, n, n});
+    ir::State& st = p.state(p.add_state("main", true));
+    const sym::ExprPtr i = sym::symb("i"), j = sym::symb("j"), k = sym::symb("k");
+    const ir::Range interior = ir::Range::span(sym::cst(1), n - 2);
+    auto [entry, exit] = st.add_map("heat", {"i", "j", "k"}, {interior, interior, interior});
+    const ir::NodeId t = st.add_tasklet(
+        "heat", "o = a[13] + 0.125 * (a[4] + a[22] - 2.0 * a[13]) + 0.125 * (a[10] + a[16] - "
+                "2.0 * a[13]) + 0.125 * (a[12] + a[14] - 2.0 * a[13])");
+    const ir::Subset full3 = ir::Subset::full({n, n, n});
+    st.add_edge(st.add_access("A"), "", entry, "", ir::Memlet("A", full3));
+    st.add_edge(entry, "", t, "a",
+                ir::Memlet("A", ir::Subset{{ir::Range::span(i - 1, i + 1),
+                                            ir::Range::span(j - 1, j + 1),
+                                            ir::Range::span(k - 1, k + 1)}}));
+    st.add_edge(t, "o", exit, "",
+                ir::Memlet("B", ir::Subset{{ir::Range::index(i), ir::Range::index(j),
+                                            ir::Range::index(k)}}));
+    st.add_edge(exit, "", st.add_access("B"), "", ir::Memlet("B", full3));
+    return p;
 }
 
 void BM_HotpathReference(benchmark::State& state) {
@@ -305,6 +375,29 @@ void print_report() {
                         : "");
     }
 
+    // Scope shapes the kernel tier covers through kernel levels (a tiled
+    // reduction: one launch per tile, width 1 on the stride-0 accumulator)
+    // and window lanes (a 3-D stencil: 27 lanes per point, segments).
+    const ir::SDFG tiled = build_tiled();
+    const sym::Bindings tiled_binds{{"N", kTiledN}};
+    const double tiled_generic = points_per_s(tiled, tiled_binds, false, 6);
+    const double tiled_kernel = points_per_s(tiled, tiled_binds, true, 6);
+    const double tiled_speedup = tiled_kernel / tiled_generic;
+    const ir::SDFG stencil = build_stencil();
+    const sym::Bindings stencil_binds{{"N", kStencilN}};
+    const double stencil_generic = points_per_s(stencil, stencil_binds, false, 6);
+    const double stencil_kernel = points_per_s(stencil, stencil_binds, true, 6);
+    const double stencil_speedup = stencil_kernel / stencil_generic;
+    bench::banner("Kernel levels and window lanes - map points per second, kernel vs generic");
+    std::printf("  tiled reduction (N=%lld, tile 8): generic %12.0f pts/s, kernel %12.0f pts/s "
+                "-> %.2fx (acceptance bar: >= 1.5x) %s\n",
+                static_cast<long long>(kTiledN), tiled_generic, tiled_kernel, tiled_speedup,
+                tiled_speedup >= 1.5 ? "PASS" : "FAIL");
+    std::printf("  3-D stencil (N=%lld, 27-point window): generic %12.0f pts/s, kernel %12.0f "
+                "pts/s -> %.2fx (acceptance bar: >= 5x) %s\n",
+                static_cast<long long>(kStencilN), stencil_generic, stencil_kernel,
+                stencil_speedup, stencil_speedup >= 5.0 ? "PASS" : "FAIL");
+
     // Crossover evidence: the same chain and points with inner extent L,
     // relative to L = 1.  Segments run whenever L > 1.
     constexpr std::int64_t kSweep[] = {2, 4, 16, 64, 256};
@@ -371,6 +464,12 @@ void print_report() {
         for (std::size_t i = 0; i < std::size(kSweep); ++i)
             std::printf("BENCH_KV crossover_%s_l%lld=%.3f\n", row.name,
                         static_cast<long long>(kSweep[i]), row.ratio[i]);
+    std::printf("BENCH_KV tiled_generic_pts_per_s=%.0f tiled_kernel_pts_per_s=%.0f\n",
+                tiled_generic, tiled_kernel);
+    std::printf("BENCH_KV tiled_speedup=%.3f\n", tiled_speedup);
+    std::printf("BENCH_KV stencil_generic_pts_per_s=%.0f stencil_kernel_pts_per_s=%.0f\n",
+                stencil_generic, stencil_kernel);
+    std::printf("BENCH_KV stencil_speedup=%.3f\n", stencil_speedup);
     std::printf("BENCH_KV parallel_1t_exec_per_s=%.0f\n", one);
     std::printf("BENCH_KV parallel_nt_exec_per_s=%.0f parallel_threads=%d\n", many, threads);
 }

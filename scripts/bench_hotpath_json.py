@@ -29,6 +29,8 @@ REQUIRED_KEYS = (
     "flat_f64_batch_speedup",
     "flat_f32_batch_speedup",
     "flat_i64_batch_speedup",
+    "tiled_speedup",
+    "stencil_speedup",
 )
 
 

@@ -304,25 +304,33 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
     const std::size_t nparams = sp.params.size();
     if (!sp.pure || nparams == 0) return;
 
-    // Range bounds must be evaluable once at scope entry: no bound may
-    // reference the scope's own parameters (triangular nests stay generic).
-    for (const RangePlan& r : sp.ranges)
-        if (r.begin.uses_any(sp.params.data(), nparams) ||
-            r.end.uses_any(sp.params.data(), nparams) ||
-            r.step.uses_any(sp.params.data(), nparams))
-            return;
-
+    // Kernel levels: a range may reference an earlier own parameter, which
+    // the generic odometer then binds above the kernel; a reference to its
+    // own or a later parameter would read a stale binding.
     ScopeKernel kern;
+    for (std::size_t k = 0; k < nparams; ++k) {
+        const RangePlan& r = sp.ranges[k];
+        for (std::size_t j = 0; j < nparams; ++j) {
+            if (!r.begin.uses_any(&sp.params[j], 1) && !r.end.uses_any(&sp.params[j], 1) &&
+                !r.step.uses_any(&sp.params[j], 1))
+                continue;
+            if (j >= k) return;
+            kern.first = std::max(kern.first, j + 1);
+        }
+    }
+    const std::vector<const std::string*> kparams(sp.param_names.begin() +
+                                                      static_cast<std::ptrdiff_t>(kern.first),
+                                                  sp.param_names.end());
+
     for (const ir::NodeId c : sp.children) {
         if (state.graph().node(c).kind != NodeKind::Tasklet) return;  // nested scope etc.
         const TaskletPlan* tp = plan.plan_of(c);
         if (!tp || tp->use_reference) return;
-        // Input validation must be statically satisfied: single-point
-        // gathers deliver exactly one lane, so any wider (or unbound)
-        // declared input would throw per point — leave that to the generic
-        // path.
+        // A declared input bound by no edge throws at every point — leave
+        // that to the generic path.  Declared widths are checked against
+        // window volumes per launch (KernelAccess::declared).
         for (const TaskletPlan::InputCheck& check : tp->input_checks)
-            if (check.input_index < 0 || check.width > 1) return;
+            if (check.input_index < 0) return;
         // The committed point loop must be throw-free: lane buffers are
         // pre-allocated at launch, so a tasklet throwing mid-loop would
         // leave different partial allocations than the lazily-allocating
@@ -341,8 +349,8 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
         }
         const int tindex = static_cast<int>(kern.tasklets.size());
         auto classify_access = [&](const AccessPlan& ap, bool output, int index) {
-            if (!ap.single_point || ap.invalid || ap.passthrough_pool >= 0) return false;
-            if (output && ap.slot_base < 0) return false;
+            if (ap.invalid || ap.passthrough_pool >= 0) return false;
+            if (output && (ap.slot_base < 0 || !ap.single_point)) return false;
             if (!sdfg.has_container(ap.memlet->data)) return false;
             const ir::DataDesc& desc = sdfg.container(ap.memlet->data);
             // Rank mismatches raise inside the loop on the generic path.
@@ -351,11 +359,20 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
             ka.tasklet = tindex;
             ka.output = output;
             ka.index = index;
-            ka.coeffs.reserve(ap.dims.size() * nparams);
+            ka.coeffs.reserve(ap.dims.size() * kparams.size());
             for (const ir::Range& r : ap.memlet->subset.ranges) {
-                // single_point: begin == end structurally, begin is the index.
-                const auto coeffs = ir::affine_coefficients(r.begin, sp.param_names);
+                // One index (begin == end structurally, any nonzero step),
+                // or a step-1 window whose extent is launch-constant.
+                if (!r.step->is_constant()) return false;
+                const auto coeffs = ir::affine_coefficients(r.begin, kparams);
                 if (!coeffs) return false;
+                if (r.begin->equals(*r.end)) {
+                    if (r.step->constant_value() == 0) return false;
+                } else {
+                    if (r.step->constant_value() != 1) return false;
+                    if (ir::affine_coefficients(r.end, kparams) != coeffs) return false;
+                    ka.window = true;
+                }
                 ka.coeffs.insert(ka.coeffs.end(), coeffs->begin(), coeffs->end());
             }
             kern.accesses.push_back(std::move(ka));
@@ -365,6 +382,14 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
             if (!classify_access(tp->inputs[i], false, static_cast<int>(i))) return;
         for (std::size_t i = 0; i < tp->outputs.size(); ++i)
             if (!classify_access(tp->outputs[i], true, static_cast<int>(i))) return;
+        // A single point satisfies a declared width of at most 1; wider
+        // declarations need a window (checked per launch).
+        const std::size_t a0 = kern.accesses.size() - tp->inputs.size() - tp->outputs.size();
+        for (const TaskletPlan::InputCheck& check : tp->input_checks) {
+            KernelAccess& ka = kern.accesses[a0 + static_cast<std::size_t>(check.input_index)];
+            if (check.width > 1 && !ka.window) return;
+            ka.declared = std::max(ka.declared, check.width);
+        }
         kern.tasklets.push_back(plan.node_to_plan[static_cast<std::size_t>(c)]);
     }
 
@@ -483,17 +508,18 @@ void Interpreter::build_tasklet_plan(const ir::SDFG& sdfg, const ir::State& stat
     // Dtype-signature selection (see VMSig): program-side feasibility
     // (proved at parse time under the all-inputs-arrive-as-the-family
     // assumption) plus graph-side facts.  Every *input* must bind a
-    // single-point subset of a matching-family container — F32 inputs work
-    // on the f64 engine because the tagged VM already promotes F32 loads to
-    // double (Buffer::load), so computing in double is what the tagged path
-    // does anyway.  *Outputs* bind a single-point subset of any dtype: the
-    // untagged scatter conversions mirror Buffer::store's casts on the
-    // tagged result exactly (including int64 -> float via double).  No
-    // passthrough staging or invalid outputs on either side.
+    // matching-family container — F32 inputs work on the f64 engine because
+    // the tagged VM already promotes F32 loads to double (Buffer::load), so
+    // computing in double is what the tagged path does anyway.  Multi-point
+    // inputs qualify too: kernels feed them as window lanes, and outside
+    // kernels such a tasklet runs tagged (execute_tasklet_untagged).
+    // *Outputs* bind a single-point subset of any dtype: the untagged
+    // scatter conversions mirror Buffer::store's casts on the tagged result
+    // exactly (including int64 -> float via double).  No passthrough
+    // staging or invalid outputs on either side.
     auto untagged_ok = [&](bool float_family) {
         auto shape_ok = [&](const AccessPlan& ap) {
-            return ap.single_point && !ap.invalid && ap.passthrough_pool < 0 &&
-                   sdfg.has_container(ap.memlet->data);
+            return !ap.invalid && ap.passthrough_pool < 0 && sdfg.has_container(ap.memlet->data);
         };
         for (const AccessPlan& ap : tp.inputs) {
             if (!shape_ok(ap)) return false;
@@ -501,9 +527,10 @@ void Interpreter::build_tasklet_plan(const ir::SDFG& sdfg, const ir::State& stat
                 return false;
         }
         for (const AccessPlan& ap : tp.outputs)
-            if (!shape_ok(ap)) return false;
+            if (!shape_ok(ap) || !ap.single_point) return false;
         return true;
     };
+    for (const AccessPlan& ap : tp.inputs) tp.window_inputs |= !ap.single_point;
     if (!tp.use_reference) {
         if (prog.has_f64_variant() && untagged_ok(/*float_family=*/true))
             tp.sig = VMSig::F64;
@@ -547,6 +574,7 @@ void Interpreter::invalidate_execution_cache() {
 }
 
 void Interpreter::rebind_plan_cache(PlanCachePtr plans) {
+    flush_launch_stats();  // pending counts belong to the previous cache
     plans_ = plans ? std::move(plans) : std::make_shared<PlanCache>();
     // The memo holds shared_ptrs into the *previous* cache; plans compiled
     // against a different cache's symbol table must never be mixed, so the
@@ -602,6 +630,7 @@ ExecResult Interpreter::run(const ir::SDFG& sdfg, Context& ctx) {
         result.status = ExecStatus::Crash;
         result.message = e.what();
     }
+    flush_launch_stats();
     // Cost counters are byte-identical across execution tiers only for Ok
     // results (see ExecResult); they are still reported on error paths for
     // diagnostics.
@@ -624,6 +653,7 @@ void Interpreter::execute_state(const ir::SDFG& sdfg, const ir::State& state, Co
                 for (const std::uint32_t base : tp->cov_bases) cov_map_->mark(base + 1);
         }
     }
+    flush_launch_stats();
 }
 
 void Interpreter::execute_node(const ir::SDFG& sdfg, const ir::State& state, NodeId nid,
@@ -693,21 +723,25 @@ void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
     // bitmap — is byte-identical across tiers.
     const std::int64_t cov_snapshot = points_used_;
 
-    // Flat-stride kernel: when the scope classified at plan time and this
-    // launch's ranks/footprint validate, the whole nest runs over
-    // precomputed flat-offset advances (execute_scope_kernel); otherwise
-    // fall through to the generic odometer below, which reproduces the
-    // unspecialized path's exact effects and errors.
-    bool kernel_done = false;
-    if (interned_only && config_.specialize && sp.kernel >= 0) {
-        kernel_done = execute_scope_kernel(
-            sdfg, plan, sp, plan.kernels[static_cast<std::size_t>(sp.kernel)], ctx);
-        plans_->note_kernel_launch(kernel_done);
-    }
+    // Flat-stride kernel: when the scope classified at plan time, the
+    // odometer below hands the kernel levels [first, n) to
+    // execute_scope_kernel at every point of the levels above them.  A
+    // launch whose validation fails runs those levels on the odometer,
+    // which reproduces the unspecialized path's exact effects and errors.
+    const ScopeKernel* kern = interned_only && config_.specialize && sp.kernel >= 0
+                                  ? &plan.kernels[static_cast<std::size_t>(sp.kernel)]
+                                  : nullptr;
 
     // Iterate the cartesian product of ranges.  Bounds are evaluated per
     // level because they may reference parameters of enclosing scopes.
     auto iterate = [&](auto&& self, std::size_t level) -> void {
+        if (kern && level == kern->first) {
+            if (execute_scope_kernel(sdfg, plan, sp, *kern, ctx)) {
+                ++launches_;
+                return;
+            }
+            ++fallbacks_;
+        }
         if (level == nparams) {
             // One map point.  The fuel check fires *before* the point's
             // children execute, so the kernel path's launch-entry pre-charge
@@ -733,7 +767,7 @@ void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
             self(self, level + 1);
         }
     };
-    if (!kernel_done) iterate(iterate, 0);
+    iterate(iterate, 0);
 
     if (cov_map_ && !sp.cov_bases.empty()) {
         const std::uint32_t cls =
@@ -759,10 +793,10 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
                                        const ScopePlan& sp, const ScopeKernel& kern,
                                        Context& ctx) {
     Scratch& s = scratch_;
-    const std::size_t nparams = sp.params.size();
-    const std::size_t nlanes = kern.accesses.size();
+    const std::size_t first = kern.first;
+    const std::size_t levels = sp.params.size() - first;
     // Caller (execute_scope) pushed this scope's active_params block.
-    const std::size_t abase = s.active_params.size() - nparams;
+    const std::size_t abase = s.active_params.size() - levels;
 
     // The kernel bypasses execute_tasklet_planned, so it owns the Buffer*
     // cache guard its per-point loop relies on.
@@ -775,11 +809,11 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     // 1. Ranges, level by level: an empty level returns before a deeper
     // level's step-0 / unbound-symbol error fires, exactly like the generic
     // path (whose inner levels are never evaluated under an empty outer one).
-    s.kbegin.resize(nparams);
-    s.kstep.resize(nparams);
-    s.kcount.resize(nparams);
-    for (std::size_t k = 0; k < nparams; ++k) {
-        const RangePlan& r = sp.ranges[k];
+    s.kbegin.resize(levels);
+    s.kstep.resize(levels);
+    s.kcount.resize(levels);
+    for (std::size_t k = 0; k < levels; ++k) {
+        const RangePlan& r = sp.ranges[first + k];
         const std::int64_t begin = r.begin.eval(s.flat, s.eval_stack);
         const std::int64_t end = r.end.eval(s.flat, s.eval_stack);
         const std::int64_t step = r.step.eval(s.flat, s.eval_stack);
@@ -798,80 +832,114 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     // 2. Bind parameters to the begin point, so base-index evaluation and
     // any lazy buffer-shape resolution see exactly what the generic path's
     // first iteration would.
-    for (std::size_t k = 0; k < nparams; ++k) {
-        s.flat.bind(sp.params[k], s.kbegin[k]);
+    for (std::size_t k = 0; k < levels; ++k) {
+        s.flat.bind(sp.params[first + k], s.kbegin[k]);
         s.active_params[abase + k].value = s.kbegin[k];
     }
 
     // 3. Per access, in the generic path's first-point order: ensure the
-    // buffer, evaluate the base index, validate rank and the whole iteration
-    // footprint, and fold the affine coefficients into flat-offset deltas.
-    // Any validation failure — *including* anything thrown (shape
-    // resolution, unbound index symbol) — falls back: the generic odometer
-    // owns error semantics outright, re-raising from the exact point the
-    // unspecialized run would (with earlier sibling tasklets' first-point
-    // effects in place, which this pre-pass must not shortcut).  Everything
-    // attempted here is idempotent (allocation, pure evaluation), so the
-    // replay is byte-identical.
-    s.lanes.resize(nlanes);
-    s.lane_delta.assign(nlanes * nparams, 0);
-    const auto setup_lane = [&](std::size_t a) {
-        const KernelAccess& ka = kern.accesses[a];
+    // buffer, evaluate the begin corner (and a window's extents), validate
+    // rank and the whole iteration footprint from the begin corner to the
+    // end corner, fold the affine coefficients into flat-offset deltas, and
+    // emit the access's lanes.  Any validation failure — *including*
+    // anything thrown (shape resolution, unbound index symbol) — falls
+    // back: the generic odometer owns error semantics outright, re-raising
+    // from the exact point the unspecialized run would (with earlier
+    // sibling tasklets' first-point effects in place, which this pre-pass
+    // must not shortcut).  Everything attempted here is idempotent
+    // (allocation, pure evaluation), so the replay is byte-identical.
+    std::size_t nlanes = 0;  // lanes and lane_delta only grow: no per-launch reallocation
+    s.kinputs.assign(kern.tasklets.size(), 0);
+    const auto setup_access = [&](const KernelAccess& ka) {
         const TaskletPlan& tp =
             plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[ka.tasklet])];
         const AccessPlan& ap =
             ka.output ? tp.outputs[static_cast<std::size_t>(ka.index)]
                       : tp.inputs[static_cast<std::size_t>(ka.index)];
         Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
-        Scratch::KernelLane& lane = s.lanes[a];
-        lane.buf = &buf;
-        lane.raw = nullptr;
-        lane.dt = buf.dtype();
-        lane.slot = ap.slot_base;
         const std::size_t dims = ap.dims.size();
         if (buf.dims() != dims) return false;  // generic raises rank mismatch
+        void* raw = nullptr;
         if (tp.sig != VMSig::Tagged) {
             // Input dtype drift outside the signature's family: the generic
             // tagged path handles any dtype.  Outputs convert on store, so
             // only their raw pointer matters.
-            if (!ka.output &&
-                ir::dtype_is_float(lane.dt) != (tp.sig == VMSig::F64))
+            if (!ka.output && ir::dtype_is_float(buf.dtype()) != (tp.sig == VMSig::F64))
                 return false;
-            lane.raw = raw_data_of(buf);
-            if (!lane.raw) return false;  // defensive
+            raw = raw_data_of(buf);
+            if (!raw) return false;  // defensive
         }
         const auto& shape = buf.shape();
         const auto& strides = buf.strides();
-        __int128 flat0 = 0;
+        if (ka.window) s.kextent.resize(dims);
+        __int128 flat0 = 0, volume = 1;
         for (std::size_t d = 0; d < dims; ++d) {
             const std::int64_t base = ap.dims[d].begin.eval(s.flat, s.eval_stack);
             __int128 lo = base, hi = base;
-            for (std::size_t k = 0; k < nparams; ++k) {
-                const __int128 travel = static_cast<__int128>(ka.coeffs[d * nparams + k]) *
+            if (ka.window) {
+                const __int128 extent =
+                    static_cast<__int128>(ap.dims[d].end.eval(s.flat, s.eval_stack)) - base + 1;
+                if (extent < 1) return false;  // empty window: generic gathers nothing
+                hi += extent - 1;
+                volume *= extent;
+                s.kextent[d] = static_cast<std::int64_t>(extent);
+            }
+            for (std::size_t k = 0; k < levels; ++k) {
+                const __int128 travel = static_cast<__int128>(ka.coeffs[d * levels + k]) *
                                         (s.kcount[k] - 1) * s.kstep[k];
                 (travel < 0 ? lo : hi) += travel;
             }
             if (lo < 0 || hi >= shape[d]) return false;  // could fault: generic raises
             flat0 += static_cast<__int128>(base) * strides[d];
         }
+        if (volume < ka.declared) return false;  // generic raises missing input
+        // Lanes: one per output; per input, one per connector slot the
+        // gather fills (none for a side-effect-only input).
+        const int nl = ka.output           ? 1
+                       : ap.slot_base < 0 ? 0
+                                          : static_cast<int>(std::min<__int128>(volume, ap.width));
+        if (nl == 0) return true;
+        if (!ka.output) s.kinputs[static_cast<std::size_t>(ka.tasklet)] += nl;
+        const std::size_t l0 = nlanes;
+        nlanes += static_cast<std::size_t>(nl);
+        if (s.lanes.size() < nlanes) s.lanes.resize(nlanes);
+        if (s.lane_delta.size() < nlanes * levels) s.lane_delta.resize(nlanes * levels);
         // Every point's offset is now proven in [0, size), so every delta —
         // a difference of reachable offsets — fits an int64.
-        lane.offset = static_cast<std::int64_t>(flat0);
-        std::int64_t* delta = &s.lane_delta[a * nparams];
+        std::int64_t* delta = &s.lane_delta[l0 * levels];
         std::int64_t suffix = 0;  // full traversal of the levels below k
-        for (std::size_t k = nparams; k-- > 0;) {
+        for (std::size_t k = levels; k-- > 0;) {
             std::int64_t adv = 0;
             if (s.kcount[k] > 1)
                 for (std::size_t d = 0; d < dims; ++d)
-                    adv += ka.coeffs[d * nparams + k] * s.kstep[k] * strides[d];
+                    adv += ka.coeffs[d * levels + k] * s.kstep[k] * strides[d];
             delta[k] = adv - suffix;
             suffix += adv * (s.kcount[k] - 1);
+        }
+        // A window's lanes walk it row-major from the begin corner and
+        // share the access's deltas.
+        auto offset = static_cast<std::int64_t>(flat0);
+        if (nl > 1) s.idx.assign(dims, 0);
+        for (int e = 0; e < nl; ++e) {
+            if (e > 0) {
+                std::copy_n(delta, levels, delta + static_cast<std::size_t>(e) * levels);
+                for (std::size_t d = dims; d-- > 0;) {
+                    if (++s.idx[d] < s.kextent[d]) {
+                        offset += strides[d];
+                        break;
+                    }
+                    offset -= (s.kextent[d] - 1) * strides[d];
+                    s.idx[d] = 0;
+                }
+            }
+            s.lanes[l0 + static_cast<std::size_t>(e)] =
+                Scratch::KernelLane{&buf, raw, buf.dtype(), offset, ap.slot_base + e, ka.output};
         }
         return true;
     };
     try {
-        for (std::size_t a = 0; a < nlanes; ++a)
-            if (!setup_lane(a)) return false;
+        for (const KernelAccess& ka : kern.accesses)
+            if (!setup_access(ka)) return false;
     } catch (...) {
         return false;  // generic replay re-raises from the right point
     }
@@ -883,16 +951,15 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     // — charging up front is observationally identical and keeps the loop
     // check-free.  Charged after lane setup so a fallback never
     // double-counts.
-    const std::size_t ntasklets = kern.tasklets.size();
     {
         __int128 total = 1;
-        for (std::size_t k = 0; k < nparams; ++k) total *= s.kcount[k];
+        for (std::size_t k = 0; k < levels; ++k) total *= s.kcount[k];
         if (config_.max_points > 0 &&
             static_cast<__int128>(points_used_) + total > config_.max_points)
             throw common::ResourceError::points(config_.max_points);
         points_used_ = saturating_add(points_used_, total);
-        instructions_used_ =
-            saturating_add(instructions_used_, total * static_cast<__int128>(ntasklets));
+        instructions_used_ = saturating_add(
+            instructions_used_, total * static_cast<__int128>(kern.tasklets.size()));
     }
 
     // 4. The launch loop.  The innermost level runs as segments of length
@@ -904,19 +971,18 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     // tasklet-inner order preserves per-point semantics for the
     // pointwise-aligned cross-tasklet dependencies the alias check admits.
     // Width-1 segments run the scalar VM instantiation.
-    const std::size_t inner = nparams - 1;
+    const std::size_t inner = levels - 1;
     const bool batch = kern.segment_ok && s.kcount[inner] > 1 &&
-                       segment_alias_safe(kern, nparams, s.kcount[inner]);
+                       segment_alias_safe(nlanes, levels, s.kcount[inner]);
     const std::int64_t seg_len = batch ? s.kcount[inner] : 1;
-    const std::size_t outer = batch ? inner : nparams;  // odometer levels
+    const std::size_t outer = batch ? inner : levels;  // odometer levels
     if (batch) {
-        plans_->note_segment_launch();
+        ++segment_launches_;
         // With segments, a level-k advance also skips the inner traversal
         // the segment covered.
         for (std::size_t l = 0; l < nlanes; ++l)
             for (std::size_t k = 0; k < inner; ++k)
-                s.lane_delta[l * nparams + k] +=
-                    s.lane_delta[l * nparams + inner] * (seg_len - 1);
+                s.lane_delta[l * levels + k] += s.lane_delta[l * levels + inner] * (seg_len - 1);
     }
     constexpr std::int64_t kTile = 256;
     const auto width = static_cast<std::size_t>(std::min(seg_len, kTile));
@@ -935,28 +1001,31 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
         }
     }
 
-    s.kiter.assign(nparams, 0);
+    s.kiter.assign(levels, 0);
     for (;;) {
         for (std::int64_t j0 = 0; j0 < seg_len; j0 += kTile) {
             const std::int64_t tn = std::min(kTile, seg_len - j0);
             std::size_t a = 0;  // first lane of the current tasklet
-            for (const int t : kern.tasklets) {
-                const TaskletPlan& tp = plan.tasklet_plans[static_cast<std::size_t>(t)];
+            for (std::size_t ti = 0; ti < kern.tasklets.size(); ++ti) {
+                const TaskletPlan& tp =
+                    plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[ti])];
+                const std::size_t nin = s.kinputs[ti];
                 constexpr std::int64_t kCols = TaskletProgram::kColumns;
                 switch (tp.sig) {
                     case VMSig::F64:
-                        if (batch) run_kernel_tasklet<double, kCols>(tp, a, nparams, j0, tn);
-                        else run_kernel_tasklet<double, 1>(tp, a, nparams, 0, 1);
+                        if (batch) run_kernel_tasklet<double, kCols>(tp, a, nin, levels, j0, tn);
+                        else run_kernel_tasklet<double, 1>(tp, a, nin, levels, 0, 1);
                         break;
                     case VMSig::I64:
-                        if (batch) run_kernel_tasklet<std::int64_t, kCols>(tp, a, nparams, j0, tn);
-                        else run_kernel_tasklet<std::int64_t, 1>(tp, a, nparams, 0, 1);
+                        if (batch)
+                            run_kernel_tasklet<std::int64_t, kCols>(tp, a, nin, levels, j0, tn);
+                        else run_kernel_tasklet<std::int64_t, 1>(tp, a, nin, levels, 0, 1);
                         break;
                     case VMSig::Tagged:  // never segment-eligible: always one point
-                        run_kernel_tagged(tp, a);
+                        run_kernel_tagged(tp, a, nin);
                         break;
                 }
-                a += tp.inputs.size() + tp.outputs.size();
+                a += nin + tp.outputs.size();
             }
         }
         // Odometer over the outer levels: find the deepest level that
@@ -970,14 +1039,13 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
             if (k == 0) return true;  // every level wrapped: done
             --k;
         }
-        for (std::size_t l = 0; l < nlanes; ++l)
-            s.lanes[l].offset += s.lane_delta[l * nparams + k];
+        for (std::size_t l = 0; l < nlanes; ++l) s.lanes[l].offset += s.lane_delta[l * levels + k];
     }
 }
 
 template <typename T, std::int64_t W>
-void Interpreter::run_kernel_tasklet(const TaskletPlan& tp, std::size_t a, std::size_t nparams,
-                                     std::int64_t j0, std::int64_t n) {
+void Interpreter::run_kernel_tasklet(const TaskletPlan& tp, std::size_t a, std::size_t nin,
+                                     std::size_t levels, std::int64_t j0, std::int64_t n) {
     Scratch& s = scratch_;
     const std::int64_t w = W == 1 ? 1 : n;
     const std::int64_t nslots = tp.prog->slot_count();
@@ -987,53 +1055,46 @@ void Interpreter::run_kernel_tasklet(const TaskletPlan& tp, std::size_t a, std::
     // a segment are offset + j * inner-stride.  Width 1 touches the offsets
     // themselves.
     const auto stride = [&](std::size_t lane) {
-        return W == 1 ? 0 : s.lane_delta[lane * nparams + nparams - 1];
+        return W == 1 ? 0 : s.lane_delta[lane * levels + levels - 1];
     };
-    const std::size_t nin = tp.inputs.size();
-    for (std::size_t i = 0; i < nin; ++i) {
-        const Scratch::KernelLane& lane = s.lanes[a + i];
-        if (lane.slot < 0) continue;
-        const std::int64_t d = stride(a + i);
+    for (std::size_t l = a; l < a + nin; ++l) {
+        const Scratch::KernelLane& lane = s.lanes[l];
+        const std::int64_t d = stride(l);
         load_lanes<T, W>(cols + lane.slot * w, lane.raw, lane.dt, lane.offset + j0 * d, d, w);
     }
     tp.prog->execute_untagged<T, W>(cols, cols + nslots * w, w);
-    for (std::size_t i = nin; i < nin + tp.outputs.size(); ++i) {
-        const Scratch::KernelLane& lane = s.lanes[a + i];
-        const std::int64_t d = stride(a + i);
+    for (std::size_t l = a + nin; l < a + nin + tp.outputs.size(); ++l) {
+        const Scratch::KernelLane& lane = s.lanes[l];
+        const std::int64_t d = stride(l);
         store_lanes<T, W>(lane.raw, lane.dt, lane.offset + j0 * d, d, cols + lane.slot * w, w);
     }
 }
 
-void Interpreter::run_kernel_tagged(const TaskletPlan& tp, std::size_t a) {
+void Interpreter::run_kernel_tagged(const TaskletPlan& tp, std::size_t a, std::size_t nin) {
     Scratch& s = scratch_;
     std::fill_n(s.slots.begin(), tp.prog->slot_count(), Value{});
-    const std::size_t nin = tp.inputs.size();
-    for (std::size_t i = a; i < a + nin; ++i)
-        if (s.lanes[i].slot >= 0)
-            s.slots[static_cast<std::size_t>(s.lanes[i].slot)] =
-                s.lanes[i].buf->load(s.lanes[i].offset);
+    for (std::size_t l = a; l < a + nin; ++l) {
+        const Scratch::KernelLane& lane = s.lanes[l];
+        s.slots[static_cast<std::size_t>(lane.slot)] = lane.buf->load(lane.offset);
+    }
     tp.prog->execute_compiled(s.slots.data(), s.regs.data());
-    for (std::size_t i = a + nin; i < a + nin + tp.outputs.size(); ++i)
-        s.lanes[i].buf->store(s.lanes[i].offset,
-                              s.slots[static_cast<std::size_t>(s.lanes[i].slot)]);
+    for (std::size_t l = a + nin; l < a + nin + tp.outputs.size(); ++l) {
+        const Scratch::KernelLane& lane = s.lanes[l];
+        lane.buf->store(lane.offset, s.slots[static_cast<std::size_t>(lane.slot)]);
+    }
 }
 
-bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t nparams,
+bool Interpreter::segment_alias_safe(std::size_t nlanes, std::size_t levels,
                                      std::int64_t seg_len) const {
     const Scratch& s = scratch_;
-    const std::size_t nlanes = kern.accesses.size();
-    const std::size_t inner = nparams - 1;
+    const std::size_t inner = levels - 1;
     for (std::size_t w = 0; w < nlanes; ++w) {
-        if (!kern.accesses[w].output) continue;
-        const std::int64_t wd = s.lane_delta[w * nparams + inner];
+        if (!s.lanes[w].output) continue;
+        const std::int64_t wd = s.lane_delta[w * levels + inner];
         const std::int64_t wo = s.lanes[w].offset;
         for (std::size_t l = 0; l < nlanes; ++l) {
-            if (l == w) continue;
-            // Inputs with no slot are never loaded (side-effect-only
-            // gathers); they cannot observe reordering.
-            if (!kern.accesses[l].output && s.lanes[l].slot < 0) continue;
-            if (s.lanes[l].buf != s.lanes[w].buf) continue;
-            const std::int64_t ld = s.lane_delta[l * nparams + inner];
+            if (l == w || s.lanes[l].buf != s.lanes[w].buf) continue;
+            const std::int64_t ld = s.lane_delta[l * levels + inner];
             const std::int64_t lo = s.lanes[l].offset;
             // Pointwise-aligned: the pair touches each address only at the
             // same inner position, so relative order per address is
@@ -1052,6 +1113,12 @@ bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t nparam
         }
     }
     return true;
+}
+
+void Interpreter::flush_launch_stats() {
+    if (launches_ == 0 && fallbacks_ == 0) return;
+    plans_->note_kernel_launches(launches_, fallbacks_, segment_launches_);
+    launches_ = fallbacks_ = segment_launches_ = 0;
 }
 
 Buffer& Interpreter::ensure_buffer(const ir::SDFG& sdfg, Context& ctx, const std::string& name) {
@@ -1323,11 +1390,11 @@ template <typename T>
 bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan& plan,
                                            const TaskletPlan& tp, Context& ctx) {
     // Twin of execute_tasklet_planned for tp.sig != Tagged nodes outside
-    // flat-stride kernels: every access is a single point (by
-    // classification), so gathers and scatters move raw values between
-    // bounds-checked flat indices and the untagged slot array, converting
-    // per the buffer's runtime dtype (the exact Buffer::load/store
-    // expressions — see the lane movers).  Evaluation order — inputs in
+    // flat-stride kernels: past the window check every access is a single
+    // point (by classification), so gathers and scatters move raw values
+    // between bounds-checked flat indices and the untagged slot array,
+    // converting per the buffer's runtime dtype (the exact Buffer::load/
+    // store expressions — see the lane movers).  Evaluation order — inputs in
     // edge order, declared-input checks, program, outputs in edge order —
     // matches the tagged path instruction for instruction, including lazy
     // output-buffer allocation at each scatter (an earlier output's bounds
@@ -1337,6 +1404,7 @@ bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan
     // (return false, before any store); output buffers convert from the
     // untagged result whatever their dtype, so they can never force a
     // fallback.
+    if (tp.window_inputs) return false;  // window lanes exist only inside kernels
     Scratch& s = scratch_;
     const auto nslots = static_cast<std::size_t>(tp.prog->slot_count());
     std::vector<T>& arena = s.arena<T>();

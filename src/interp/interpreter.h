@@ -53,30 +53,39 @@
 // Specialization tiers (plan-level loop specialization):
 //
 // On top of the compiled path, build_plan classifies every map scope.  A
-// scope whose children are all compiled tasklets, whose range bounds are
-// evaluable at scope entry (they never reference the scope's own
-// parameters), and whose memlet indices are affine in the scope parameters
-// with constant coefficients carries a ScopeKernel: per-access flat-stride
-// advances replace the odometer's per-point index-expression evaluation and
-// bounds-checked flat_index calls — advancing a point is one add per
-// connector, and the whole iteration footprint is validated once per launch
-// (a launch that could fault falls back to the generic odometer, which owns
-// partial-effect and error-ordering semantics).  Independently, each tasklet
-// selects a *dtype signature* (TaskletPlan::sig): a program admitting the
-// untagged double VM (TaskletProgram::has_f64_variant) whose input
-// connectors all bind scalar float-family (F64/F32) containers runs tagless
-// on raw doubles, and a program admitting the int twin (has_i64_variant)
-// whose inputs all bind int-family (I64/I32) containers runs on raw int64s;
-// output containers may be any dtype — the store-side conversions mirror the
-// tagged VM's Buffer::store casts exactly.  Inside a kernel an untagged
-// tasklet's inner loop runs over raw Buffer storage with per-lane dtype
-// conversion.
+// scope whose children are all compiled tasklets and whose memlet indices
+// are affine in the scope parameters with constant coefficients carries a
+// ScopeKernel: per-access flat-stride advances replace the odometer's
+// per-point index-expression evaluation and bounds-checked flat_index calls
+// — advancing a point is one add per lane, and the whole iteration
+// footprint is validated once per launch (a launch that could fault falls
+// back to the generic odometer, which owns partial-effect and error-ordering
+// semantics).  The kernel covers the scope's levels [first, n): a range that
+// references an earlier own parameter (a tiled nest's `i` in [i__tile,
+// min(i__tile + 7, N - 1)]) puts the kernel below that parameter's level,
+// the generic odometer iterates the levels above it and launches the kernel
+// once per point of them, and those outer parameters act as launch
+// constants.  A range referencing its own or a later parameter would read a
+// stale binding, so that scope stays generic.  Inputs may be single points
+// or windows (every varying dimension step 1, begin and end affine with
+// equal coefficients, e.g. a stencil's A[i-1:i+1, j-1:j+1]): each launch
+// expands a window into one lane per connector slot, in row-major order.
+// Independently, each tasklet selects a *dtype signature* (TaskletPlan::
+// sig): a program admitting the untagged double VM (TaskletProgram::
+// has_f64_variant) whose input connectors all bind float-family (F64/F32)
+// containers runs tagless on raw doubles, and a program admitting the int
+// twin (has_i64_variant) whose inputs all bind int-family (I64/I32)
+// containers runs on raw int64s; output containers may be any dtype — the
+// store-side conversions mirror the tagged VM's Buffer::store casts exactly.
+// Inside a kernel an untagged tasklet's inner loop runs over raw Buffer
+// storage with per-lane dtype conversion; outside kernels a tasklet with a
+// window input runs on the tagged VM.
 //
 // Every committed kernel launch runs one loop: the innermost level as
-// segments of length L, the outer levels as an odometer.  One untagged VM
-// (TaskletProgram::execute_untagged) serves every L — L = 1 runs its
-// compile-time scalar instantiation, L > 1 runs one auto-vectorizable
-// column loop per instruction.  L is the whole inner extent when the
+// segments of length L, the outer kernel levels as an odometer.  One
+// untagged VM (TaskletProgram::execute_untagged) serves every L — L = 1
+// runs its compile-time scalar instantiation, L > 1 runs one
+// auto-vectorizable column loop per instruction.  L is the whole inner extent when the
 // kernel's tasklets are all untagged and straight-line (ScopeKernel::
 // segment_ok), the extent is longer than 1 and the launch's concrete lane
 // windows cannot alias unsafely (column execution reorders loads/stores
@@ -215,11 +224,12 @@ struct AccessPlan {
 /// Dtype signature of a planned tasklet: which VM executes it under
 /// ExecConfig::specialize.  Untagged signatures require the program to admit
 /// the corresponding engine (TaskletProgram::has_f64_variant /
-/// has_i64_variant), every *input* connector to bind a single-point subset
-/// of a matching-family container (float family F64/F32 for F64, int family
-/// I64/I32 for I64), and every output connector a single-point subset of any
-/// dtype — output conversions mirror the tagged VM's Buffer::store casts
-/// exactly, so results are byte-identical.
+/// has_i64_variant), every *input* connector to bind a matching-family
+/// container (float family F64/F32 for F64, int family I64/I32 for I64),
+/// and every output connector a single-point subset of any dtype — output
+/// conversions mirror the tagged VM's Buffer::store casts exactly, so
+/// results are byte-identical.  Multi-point inputs run untagged only as
+/// kernel window lanes (TaskletPlan::window_inputs).
 enum class VMSig : std::uint8_t {
     Tagged,  ///< Generic tagged-Value bytecode VM (always correct).
     F64,     ///< Untagged double VM (float-family inputs).
@@ -248,6 +258,9 @@ struct TaskletPlan {
     /// Dtype signature selected at plan time (see VMSig).  Untagged
     /// signatures are gated at execution time by ExecConfig::specialize.
     VMSig sig = VMSig::Tagged;
+    /// Some input spans several points: the untagged VMs run this tasklet
+    /// only inside kernels, whose launches expand windows into lanes.
+    bool window_inputs = false;
     /// Def-use pair id bases of this tasklet's accesses, inputs then outputs
     /// (the CovAtlas enumeration order matches inputs/outputs exactly).
     /// Access j's class-c pair is cov_bases[j] + c.  Always populated —
@@ -278,26 +291,41 @@ struct ScopePlan {
 };
 
 /// One memlet of a flat-stride kernel: the affine decomposition of its
-/// (single-point) subset over the scope parameters.  index_d = base_d +
-/// sum_k coeffs[d * params + k] * param_k, where base_d is obtained at
-/// launch time by evaluating the lowered index programs at the ranges'
-/// begin point.
+/// subset's begin corner over the kernel levels.  begin_d = base_d +
+/// sum_k coeffs[d * levels + k] * param_(first + k), where base_d is
+/// obtained at launch time by evaluating the lowered begin programs at the
+/// ranges' begin point (parameters of the levels above the kernel are
+/// bound there, so they land in the base).  A single-point access is one
+/// lane.  A window input spans end_d - begin_d + 1 points per dimension —
+/// constant over a launch, because begin and end share their coefficients
+/// — and expands at launch into min(volume, slot width) lanes in row-major
+/// order, lane e feeding slot slot_base + e; a side-effect-only input (no
+/// slot) is validated but gets no lanes.
 struct KernelAccess {
     int tasklet = 0;      ///< Index into ScopeKernel::tasklets.
     bool output = false;  ///< Input or output of that tasklet.
     int index = 0;        ///< Position among the tasklet's inputs/outputs.
-    std::vector<std::int64_t> coeffs;  ///< dims x params, row-major.
+    bool window = false;  ///< Input spanning several points (see above).
+    /// Declared width of the connector this input binds last: a launch
+    /// whose window volume falls below it runs generic, which raises the
+    /// "missing input connector" error.
+    int declared = 0;
+    std::vector<std::int64_t> coeffs;  ///< dims x kernel levels, row-major.
 };
 
 /// Flat-stride specialization of one map scope: every child is a compiled
-/// tasklet, every range bound is evaluable at scope entry, and every memlet
-/// index is affine in the scope parameters with constant coefficients —
-/// per-point addressing collapses to one precomputed flat-offset add per
-/// connector.  Classified once at plan time; every launch still validates
-/// ranks and the concrete iteration footprint, handing scopes that could
-/// fault back to the generic odometer (which owns partial-effect and
-/// error-ordering semantics).
+/// tasklet, and every memlet index is affine in the kernel levels'
+/// parameters with constant coefficients — per-point addressing collapses
+/// to one precomputed flat-offset add per lane.  Classified once at plan
+/// time; every launch still validates ranks and the concrete iteration
+/// footprint, handing launches that could fault back to the generic
+/// odometer (which owns partial-effect and error-ordering semantics).
 struct ScopeKernel {
+    /// Lowest scope level the kernel covers: 1 + the highest own-parameter
+    /// level any later level's range references, 0 when none does.  The
+    /// generic odometer iterates levels [0, first) and launches the kernel
+    /// over [first, n) once per point of them.
+    std::size_t first = 0;
     std::vector<int> tasklets;           ///< tasklet_plans indices, child order.
     std::vector<KernelAccess> accesses;  ///< Grouped by tasklet, inputs first.
     /// Segment-eligible: every tasklet selected an untagged signature and is
@@ -416,12 +444,14 @@ private:
                               const StatePlan& plan, ir::NodeId node, Context& ctx);
     void execute_scope(const ir::SDFG& sdfg, const ir::State& state, const StatePlan& plan,
                        ir::NodeId entry, Context& ctx);
-    /// Attempts one flat-stride launch of a kernelized scope.  Returns false
-    /// when per-launch validation (rank match, footprint in bounds, sane
-    /// extents) fails — the caller then runs the generic odometer, which
-    /// reproduces the exact partial effects and error of the unspecialized
-    /// path.  Ranges are evaluated level by level exactly like the generic
-    /// path, so step-0 / unbound-symbol errors surface identically.
+    /// Attempts one flat-stride launch over the kernel levels [kern.first,
+    /// n) at the current point of the levels above them.  Returns false
+    /// when per-launch validation (rank match, footprint in bounds, window
+    /// volumes, sane extents) fails — the caller then runs the generic
+    /// odometer over the same levels, which reproduces the exact partial
+    /// effects and error of the unspecialized path.  Ranges are evaluated
+    /// level by level exactly like the generic path, so step-0 /
+    /// unbound-symbol errors surface identically.
     bool execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& plan, const ScopePlan& sp,
                               const ScopeKernel& kern, Context& ctx);
     /// Whether this launch's concrete lane windows permit running the
@@ -431,22 +461,24 @@ private:
     /// same nonzero inner stride, so the pair only ever interacts at equal
     /// inner positions — or cover disjoint address windows.  In particular a
     /// stride-0 in-place update (x = f(x) broadcast over the segment) is a
-    /// sequential dependency and runs at width 1.  Reads scratch lane state
-    /// set up by execute_scope_kernel.
-    bool segment_alias_safe(const ScopeKernel& kern, std::size_t nparams,
-                            std::int64_t seg_len) const;
+    /// sequential dependency and runs at width 1.  Reads the first `nlanes`
+    /// scratch lanes set up by execute_scope_kernel (`levels` kernel levels).
+    bool segment_alias_safe(std::size_t nlanes, std::size_t levels, std::int64_t seg_len) const;
     /// One untagged tasklet of a committed launch: gather -> VM -> scatter
-    /// through lanes [a, a + accesses), converting per lane dtype.  W == 1
-    /// runs the one point at the lanes' offsets on the scalar VM (`j0` and
-    /// `n` unused); W == TaskletProgram::kColumns runs the `n` consecutive
-    /// inner points from inner position `j0` of a segment, one column loop
-    /// per instruction.  Cannot throw (throw-free programs by
-    /// classification).
+    /// through `nin` input lanes from lane `a`, then one lane per output,
+    /// converting per lane dtype.  W == 1 runs the one point at the lanes'
+    /// offsets on the scalar VM (`j0` and `n` unused); W ==
+    /// TaskletProgram::kColumns runs the `n` consecutive inner points from
+    /// inner position `j0` of a segment, one column loop per instruction.
+    /// Cannot throw (throw-free programs by classification).
     template <typename T, std::int64_t W>
-    void run_kernel_tasklet(const TaskletPlan& tp, std::size_t a, std::size_t nparams,
-                            std::int64_t j0, std::int64_t n);
+    void run_kernel_tasklet(const TaskletPlan& tp, std::size_t a, std::size_t nin,
+                            std::size_t levels, std::int64_t j0, std::int64_t n);
     /// One point of a tagged-signature tasklet of a committed launch.
-    void run_kernel_tagged(const TaskletPlan& tp, std::size_t a);
+    void run_kernel_tagged(const TaskletPlan& tp, std::size_t a, std::size_t nin);
+    /// Adds this interpreter's pending kernel launch counts to the shared
+    /// cache's SpecStats (once per state execution, off the launch path).
+    void flush_launch_stats();
     void execute_tasklet(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
                          Context& ctx);
     void execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State& state,
@@ -456,8 +488,10 @@ private:
     /// between raw Buffer storage and a flat T slot array, converting per
     /// the lane's dtype — no Value tags anywhere.  Returns false — before
     /// any store, with only idempotent work done — when a caller-provided
-    /// context buffer's dtype drifted outside the signature's input family;
-    /// the caller then runs the tagged path, which handles any dtype.
+    /// context buffer's dtype drifted outside the signature's input family,
+    /// and before any work when an input is a window (TaskletPlan::
+    /// window_inputs); the caller then runs the tagged path, which handles
+    /// any dtype and any subset.
     template <typename T>
     bool execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan& plan,
                                   const TaskletPlan& tp, Context& ctx);
@@ -513,6 +547,12 @@ private:
     std::int64_t instructions_used_ = 0;
     std::int64_t alloc_used_ = 0;
 
+    /// Kernel launches committed / fallen back / run as segments since the
+    /// last flush_launch_stats().  A tiled nest launches once per tile, so
+    /// counting into the shared atomics per launch would put them on the
+    /// hot path.
+    std::int64_t launches_ = 0, fallbacks_ = 0, segment_launches_ = 0;
+
     /// Flat, reusable execution scratch: all per-map-point storage lives
     /// here so steady-state tasklet execution performs no heap allocation.
     struct Scratch {
@@ -558,23 +598,27 @@ private:
         }
 
         // Flat-stride kernel launch state (reused across launches).
-        /// One access of the running kernel: its buffer, the raw storage
-        /// pointer + runtime dtype (untagged fast path), and the current
-        /// flat offset.
+        /// One lane of the running kernel — a single-point access, or one
+        /// point of a window input: its buffer, the raw storage pointer +
+        /// runtime dtype (untagged fast path), the current flat offset and
+        /// the connector slot it feeds or drains.
         struct KernelLane {
             Buffer* buf = nullptr;
             void* raw = nullptr;            // dtype-erased storage base
             ir::DType dt = ir::DType::F64;  // runtime buffer dtype
             std::int64_t offset = 0;
-            int slot = -1;  // connector slot base; -1 = side-effect-only gather
+            int slot = 0;
+            bool output = false;
         };
         std::vector<KernelLane> lanes;
-        /// lanes x params: offset delta applied when level k advances (its
-        /// own stride times step, minus the full traversal of every deeper
-        /// level — the odometer reset folded into one add).
+        /// lanes x kernel levels: offset delta applied when level k
+        /// advances (its own stride times step, minus the full traversal of
+        /// every deeper level — the odometer reset folded into one add).
         std::vector<std::int64_t> lane_delta;
-        std::vector<std::int64_t> kbegin, kstep, kcount;  // per level
+        std::vector<std::size_t> kinputs;                 // input lanes per tasklet
+        std::vector<std::int64_t> kbegin, kstep, kcount;  // per kernel level
         std::vector<std::int64_t> kiter;                  // odometer counters
+        std::vector<std::int64_t> kextent;                // window extents per dim
     };
     Scratch scratch_;
     // Deque: growing the pool must not invalidate references handed out for

@@ -64,11 +64,12 @@ using PlanKey = std::tuple<std::uint64_t, std::uint64_t, const ir::State*>;
 /// collapsed to flat-stride kernels (and of those, how many are
 /// segment-eligible) and how many tasklets got an untagged engine (f64 or
 /// i64) — once per built StatePlan.  The runtime fields count kernel
-/// launches: a *fallback* is a launch whose per-execution validation (rank or
-/// footprint) handed the scope back to the generic odometer; a *segment
-/// launch* is a committed launch that ran its innermost extent as one
-/// column-width segment instead of point by point.  Counter values never influence results; they
-/// exist for benchmarks and tuning.
+/// launches — one per point of the levels above the kernel, so a tiled nest
+/// launches once per tile: a *fallback* is a launch whose validation (rank,
+/// footprint, window volume) handed its levels back to the generic odometer;
+/// a *segment launch* is a committed launch that ran its innermost extent as
+/// one column-width segment instead of point by point.  Counter values never
+/// influence results; they exist for benchmarks and tuning.
 struct SpecStats {
     std::int64_t scopes_planned = 0;      ///< Map scopes classified.
     std::int64_t scopes_specialized = 0;  ///< ... that carry a flat-stride kernel.
@@ -76,7 +77,7 @@ struct SpecStats {
     std::int64_t tasklets_planned = 0;    ///< Tasklet plans built.
     std::int64_t tasklets_f64 = 0;        ///< ... selecting the untagged f64 VM.
     std::int64_t tasklets_i64 = 0;        ///< ... selecting the untagged i64 VM.
-    std::int64_t kernel_launches = 0;     ///< Flat-stride executions committed.
+    std::int64_t kernel_launches = 0;     ///< Flat-stride (sub-)launches committed.
     std::int64_t kernel_fallbacks = 0;    ///< Launches revalidated onto the generic path.
     std::int64_t segment_launches = 0;    ///< Committed launches that ran batched segments.
 
@@ -145,20 +146,16 @@ public:
         tasklets_i64_.fetch_add(i64, std::memory_order_relaxed);
     }
 
-    /// Counts one flat-stride launch attempt: `committed` false records a
-    /// per-execution validation fallback to the generic odometer.  Called
-    /// once per scope execution (not per point), so the relaxed atomic is
-    /// off the per-point hot path.
-    void note_kernel_launch(bool committed) {
-        (committed ? kernel_launches_ : kernel_fallbacks_)
-            .fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /// Counts one committed launch that executed column-width segments
-    /// rather than width-1 points.  Called at most once per scope execution
-    /// (alongside note_kernel_launch(true)).
-    void note_segment_launch() {
-        segment_launches_.fetch_add(1, std::memory_order_relaxed);
+    /// Adds flat-stride launch counts: `committed` launches, `fallbacks`
+    /// (per-launch validation failures that ran the generic odometer) and
+    /// `segments` (committed launches that ran column-width segments).
+    /// Interpreters accumulate these privately and flush once per state
+    /// execution, so the relaxed atomics stay off the per-launch path.
+    void note_kernel_launches(std::int64_t committed, std::int64_t fallbacks,
+                              std::int64_t segments) {
+        kernel_launches_.fetch_add(committed, std::memory_order_relaxed);
+        kernel_fallbacks_.fetch_add(fallbacks, std::memory_order_relaxed);
+        segment_launches_.fetch_add(segments, std::memory_order_relaxed);
     }
 
     /// Snapshot of the counters.

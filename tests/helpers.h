@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "interp/interpreter.h"
+#include "interp/plan_cache.h"
 #include "ir/sdfg.h"
 #include "workloads/builders.h"
 
@@ -56,6 +62,78 @@ inline std::vector<double> to_vector(const interp::Buffer& buf) {
     std::vector<double> out;
     for (std::int64_t i = 0; i < buf.size(); ++i) out.push_back(buf.load_double(i));
     return out;
+}
+
+/// One execution of a program on one tier: result, final context and the
+/// plan cache's specialization counters.
+struct TierOut {
+    interp::ExecResult res;
+    interp::Context ctx;
+    interp::SpecStats stats;
+};
+
+inline TierOut run_cfg(const ir::SDFG& p, const interp::Context& inputs, bool compiled,
+                       bool specialize, std::int64_t max_points = 0) {
+    interp::ExecConfig cfg;
+    cfg.use_compiled_tasklets = compiled;
+    cfg.specialize = specialize;
+    if (max_points > 0) {
+        cfg.max_points = max_points;
+        cfg.max_alloc_bytes = 1ll << 30;
+    }
+    interp::Interpreter interp(cfg);
+    TierOut out{interp::ExecResult{}, inputs, interp::SpecStats{}};
+    out.res = interp.run(p, out.ctx);
+    out.stats = interp.plan_cache()->spec_stats();
+    return out;
+}
+
+/// Bitwise context equality (same buffer names, dtypes, shapes, bytes) plus
+/// identical status/message.  `nan_equiv` loosens only NaN payload bits —
+/// needed against the reference AST engine, whose instruction selection may
+/// legally propagate a different NaN than the bytecode VM.
+inline void expect_same(const TierOut& a, const TierOut& b, const std::string& what,
+                        bool nan_equiv = false) {
+    EXPECT_EQ(a.res.status, b.res.status) << what;
+    EXPECT_EQ(a.res.message, b.res.message) << what;
+    if (a.res.ok() && b.res.ok()) {
+        EXPECT_EQ(a.res.points, b.res.points) << what;
+        EXPECT_EQ(a.res.instructions, b.res.instructions) << what;
+    }
+    ASSERT_EQ(a.ctx.buffers.size(), b.ctx.buffers.size()) << what;
+    auto ita = a.ctx.buffers.begin();
+    auto itb = b.ctx.buffers.begin();
+    for (; ita != a.ctx.buffers.end(); ++ita, ++itb) {
+        ASSERT_EQ(ita->first, itb->first) << what;
+        if (!nan_equiv) {
+            EXPECT_TRUE(ita->second.bitwise_equal(itb->second))
+                << what << ": buffer '" << ita->first << "' differs";
+            continue;
+        }
+        ASSERT_EQ(ita->second.dtype(), itb->second.dtype()) << what;
+        ASSERT_EQ(ita->second.shape(), itb->second.shape()) << what;
+        for (std::int64_t i = 0; i < ita->second.size(); ++i) {
+            const double x = ita->second.load_double(i);
+            const double y = itb->second.load_double(i);
+            if (std::isnan(x) && std::isnan(y)) continue;
+            EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+                << what << ": '" << ita->first << "' differs at " << i;
+        }
+    }
+}
+
+/// Runs all three tiers on the same inputs and requires specialized ==
+/// generic bitwise, and == reference modulo NaN payloads.  Returns the
+/// specialized run for extra assertions.
+inline TierOut expect_all_tiers_agree(const ir::SDFG& p, const interp::Context& inputs,
+                                      const std::string& what, std::int64_t max_points = 0) {
+    const TierOut specialized = run_cfg(p, inputs, true, true, max_points);
+    const TierOut generic = run_cfg(p, inputs, true, false, max_points);
+    const TierOut reference = run_cfg(p, inputs, false, false, max_points);
+    expect_same(specialized, generic, what + " (specialized vs generic)");
+    expect_same(specialized, reference, what + " (specialized vs reference)",
+                /*nan_equiv=*/true);
+    return specialized;
 }
 
 }  // namespace ff::testing

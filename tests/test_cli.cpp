@@ -18,7 +18,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
 
@@ -82,6 +84,53 @@ TEST(CliJobErrors, UnknownWorkloadExitsFour) {
     const CliResult r = run_cli("run --workload no_such_kernel");
     EXPECT_EQ(r.code, 4);
     EXPECT_NE(r.out.find("no_such_kernel"), std::string::npos) << r.out;
+}
+
+/// Data rows of the first audit table in `text`: trimmed cells per row.
+std::vector<std::vector<std::string>> table_rows(const std::string& text) {
+    std::vector<std::vector<std::string>> rows;
+    std::istringstream in(text);
+    std::string line;
+    bool in_table = false;
+    while (std::getline(in, line)) {
+        if (line.rfind("| Transformation", 0) == 0) {
+            in_table = true;
+            continue;
+        }
+        if (!in_table || line.rfind("|-", 0) == 0) continue;
+        if (line.rfind("| ", 0) != 0) break;
+        std::vector<std::string> cells;
+        std::istringstream cells_in(line.substr(1));
+        std::string cell;
+        while (std::getline(cells_in, cell, '|')) {
+            const auto b = cell.find_first_not_of(' ');
+            const auto e = cell.find_last_not_of(' ');
+            cells.push_back(b == std::string::npos ? "" : cell.substr(b, e - b + 1));
+        }
+        rows.push_back(std::move(cells));
+    }
+    return rows;
+}
+
+TEST(CliRun, TableShowsLiveThreadsAndTrialRate) {
+    // The canonical report zeroes Trials/s and Threads (contract clause 7);
+    // the table `run` prints must still show this process's values.
+    const std::string dir = scratch_dir("run_table");
+    const CliResult r = run_cli("run --workload heat_3d --passes correct --trials 20 "
+                                "--size-max 6 --threads 2 --out " + dir + "/r.json");
+    ASSERT_EQ(r.code, 0) << r.out;
+    const auto rows = table_rows(r.out);
+    ASSERT_FALSE(rows.empty()) << r.out;
+    for (const auto& row : rows) {
+        ASSERT_GE(row.size(), 5u) << r.out;
+        EXPECT_NE(row[3], "0") << "Trials/s of " << row[0];
+        EXPECT_EQ(row[4], "2") << "Threads of " << row[0];
+    }
+    // The document's own table keeps the canonical (zeroed) trial rate.
+    const auto canonical =
+        table_rows(common::Json::parse_file(dir + "/r.json").at("table").as_string());
+    ASSERT_EQ(canonical.size(), rows.size());
+    for (const auto& row : canonical) EXPECT_EQ(row[3], "0") << "canonical Trials/s";
 }
 
 TEST(CliListWorkloads, PrintsEveryBuiltinKernel) {

@@ -20,19 +20,25 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/cutout.h"
 #include "core/fuzzer.h"
 #include "core/report.h"
 #include "helpers.h"
 #include "interp/interpreter.h"
 #include "interp/plan_cache.h"
 #include "ir/subset.h"
+#include "transforms/map_tiling.h"
 #include "transforms/registry.h"
 #include "workloads/matchain.h"
+#include "workloads/npbench.h"
 
 namespace ff {
 namespace {
 
+using ff::testing::expect_all_tiers_agree;
 using ff::testing::make_scale_sdfg;
+using ff::testing::run_cfg;
+using ff::testing::TierOut;
 
 // --- Affine analysis ---------------------------------------------------------
 
@@ -320,14 +326,16 @@ TEST(Specialization, ThrowingSiblingLaneFallsBackToGenericReplay) {
 
 // --- Differential property test ----------------------------------------------
 //
-// 420 random programs spanning dtypes, strided/offset/reversed subsets,
-// non-affine indices, triangular (non-constant) ranges and occasional
-// out-of-bounds offsets.  Reference AST engine, generic compiled path and
+// 420 random programs spanning dtypes, ranks 1-3, strided/offset/reversed
+// subsets, non-affine indices, triangular (non-constant) ranges, tiled nests
+// with remainder tiles, window inputs and occasional out-of-bounds offsets.  Reference AST engine, generic compiled path and
 // specialized path must agree bit for bit — results and crash messages.
 
 struct RandomProgram {
     ir::SDFG p{"prop"};
     interp::Context inputs;
+    bool windows = false;  ///< Some stage reads a window input.
+    bool tiles = false;    ///< Some stage iterates a tiled nest.
 };
 
 ir::DType pick_dtype(common::Rng& rng) {
@@ -352,9 +360,13 @@ interp::Buffer random_buffer(common::Rng& rng, ir::DType dtype,
 }
 
 /// One random elementwise map stage reading `in_name` and writing a fresh
-/// container; returns the output access node.
-ir::NodeId random_stage(common::Rng& rng, ir::SDFG& p, ir::State& st, ir::NodeId in_access,
+/// container; returns the output access node.  Some stages read a window
+/// input (a stencil-style span per dimension) and some iterate a tiled
+/// nest: tile parameters first, then points in [tile, min(tile + T - 1,
+/// end)] with a remainder tile whenever T does not divide the extent.
+ir::NodeId random_stage(common::Rng& rng, RandomProgram& rp, ir::State& st, ir::NodeId in_access,
                         int stage) {
+    ir::SDFG& p = rp.p;
     const std::string in_name = st.graph().node(in_access).data;
     const std::vector<sym::ExprPtr>& in_shape = p.container(in_name).shape;
     const std::size_t rank = in_shape.size();
@@ -366,19 +378,32 @@ ir::NodeId random_stage(common::Rng& rng, ir::SDFG& p, ir::State& st, ir::NodeId
     const ir::DType out_dtype = pick_dtype(rng);
     std::vector<sym::ExprPtr> out_shape = in_shape;
     p.add_array(out_name, out_dtype, out_shape, /*transient=*/false);
-    const bool two_outputs = rng.chance(0.25);
+    const bool window = rng.chance(0.3);
+    const bool two_outputs = !window && rng.chance(0.25);
     const std::string out2_name = out_name + "b";
     if (two_outputs) p.add_array(out2_name, pick_dtype(rng), out_shape, /*transient=*/false);
 
     // Iteration space: smaller than the containers so strides/offsets fit.
-    std::vector<std::string> params;
-    std::vector<ir::Range> ranges;
+    const bool tiled = rng.chance(0.25);
+    rp.tiles |= tiled;
+    rp.windows |= window;
+    std::vector<std::string> params, tile_params;
+    std::vector<ir::Range> ranges, tile_ranges;
     std::vector<sym::ExprPtr> in_idx, out_idx, out2_idx;
     for (std::size_t d = 0; d < rank; ++d) {
         const std::string param = "p" + std::to_string(stage) + "_" + std::to_string(d);
         params.push_back(param);
         const std::int64_t extent = rng.uniform_int(2, 4);
-        switch (rng.uniform_int(0, 4)) {
+        if (tiled) {
+            const std::int64_t tiled_extent = rng.uniform_int(3, 5);
+            const std::int64_t tile = rng.uniform_int(2, 3);
+            tile_params.push_back(param + "__tile");
+            tile_ranges.push_back(
+                ir::Range{sym::cst(0), sym::cst(tiled_extent - 1), sym::cst(tile)});
+            const sym::ExprPtr pt = sym::symb(tile_params.back());
+            ranges.push_back(ir::Range{pt, sym::min(pt + (tile - 1), sym::cst(tiled_extent - 1)),
+                                       sym::cst(1)});
+        } else switch (rng.uniform_int(0, 4)) {
             case 0:  // plain 0 .. extent-1
                 ranges.push_back(ir::Range::full(sym::cst(extent)));
                 break;
@@ -393,8 +418,8 @@ ir::NodeId random_stage(common::Rng& rng, ir::SDFG& p, ir::State& st, ir::NodeId
                 ranges.push_back(
                     ir::Range{sym::cst(0), sym::cst(2 * (extent - 1)), sym::cst(2)});
                 break;
-            default:  // triangular against the previous param: forces the
-                      // generic odometer (range references an own param)
+            default:  // triangular against the previous param: the kernel
+                      // covers the levels below it (kernel levels)
                 if (d > 0 && rng.chance(0.8))
                     ranges.push_back(ir::Range{sym::cst(0), sym::symb(params[d - 1]),
                                                sym::cst(1)});
@@ -439,20 +464,37 @@ ir::NodeId random_stage(common::Rng& rng, ir::SDFG& p, ir::State& st, ir::NodeId
         "o = i > 0.0 ? i : -i; q = o * 2.0",
         "o = min(i, 2.0); q = (i > 1.0) + (i > 3.0)",
     };
-    const std::string code = two_outputs ? kTwoOutCodes[rng.uniform_int(0, 2)]
-                                         : kCodes[rng.uniform_int(0, 10)];
+    // Window stages read connector `w` over a forward span per dimension;
+    // codes declaring more lanes than the window holds crash with a
+    // missing input connector on every tier.
+    static const char* kWindowCodes[] = {
+        "o = w[0] * 2.0 + 1.0",
+        "o = w[0] - w[1] * 0.5",
+        "o = w[0] + w[1] - w[2]",
+        "o = max(w[0], w[3]) * 2",
+        "o = w[0] * 3 + w[7] - w[5]",
+    };
+    const std::string code = window        ? kWindowCodes[rng.uniform_int(0, 4)]
+                             : two_outputs ? kTwoOutCodes[rng.uniform_int(0, 2)]
+                                           : kCodes[rng.uniform_int(0, 10)];
 
-    auto [entry, exit] = st.add_map("m" + std::to_string(stage), params, ranges);
+    tile_params.insert(tile_params.end(), params.begin(), params.end());
+    tile_ranges.insert(tile_ranges.end(), ranges.begin(), ranges.end());
+    auto [entry, exit] = st.add_map("m" + std::to_string(stage), tile_params, tile_ranges);
     const ir::NodeId t = st.add_tasklet("t" + std::to_string(stage), code);
     const ir::NodeId out_acc = st.add_access(out_name);
     st.add_edge(in_access, "", entry, "",
                 ir::Memlet(in_name, ir::Subset::full(in_shape)));
-    ir::Subset in_point, out_point;
+    ir::Subset in_point, in_window, out_point;
     for (std::size_t d = 0; d < rank; ++d) {
         in_point.ranges.push_back(ir::Range::index(in_idx[d]));
+        in_window.ranges.push_back(ir::Range::span(in_idx[d], in_idx[d] + rng.uniform_int(0, 2)));
         out_point.ranges.push_back(ir::Range::index(out_idx[d]));
     }
-    st.add_edge(entry, "", t, "i", ir::Memlet(in_name, in_point));
+    st.add_edge(entry, "", t, window ? "w" : "i",
+                ir::Memlet(in_name, window ? in_window : in_point));
+    // A side-effect-only window: bound, bounds-checked, never read.
+    if (window && rng.chance(0.25)) st.add_edge(entry, "", t, "u", ir::Memlet(in_name, in_window));
     st.add_edge(t, "o", exit, "", ir::Memlet(out_name, out_point));
     if (two_outputs) {
         ir::Subset out2_point;
@@ -469,7 +511,7 @@ ir::NodeId random_stage(common::Rng& rng, ir::SDFG& p, ir::State& st, ir::NodeId
 RandomProgram make_random_program(std::uint64_t seed) {
     common::Rng rng(seed);
     RandomProgram rp;
-    const std::size_t rank = static_cast<std::size_t>(rng.uniform_int(1, 2));
+    const std::size_t rank = static_cast<std::size_t>(rng.uniform_int(1, 3));
     std::vector<sym::ExprPtr> shape;
     std::vector<std::int64_t> concrete;
     for (std::size_t d = 0; d < rank; ++d) {
@@ -483,7 +525,7 @@ RandomProgram make_random_program(std::uint64_t seed) {
     ir::State& st = rp.p.state(rp.p.add_state("main", true));
     ir::NodeId cur = st.add_access("a0");
     const int stages = static_cast<int>(rng.uniform_int(1, 2));
-    for (int s = 0; s < stages; ++s) cur = random_stage(rng, rp.p, st, cur, s);
+    for (int s = 0; s < stages; ++s) cur = random_stage(rng, rp, st, cur, s);
     rp.inputs.buffers.emplace("a0", random_buffer(rng, in_dtype, concrete));
     return rp;
 }
@@ -522,51 +564,277 @@ void expect_context_equal(const interp::Context& a, const interp::Context& b,
 
 TEST(SpecializationProperty, AllTiersAgreeOn420Programs) {
     int crashes = 0, kernels = 0, f64s = 0, i64s = 0, segments = 0;
+    int window_kernels = 0, tiled_kernels = 0;
     for (std::uint64_t seed = 0; seed < 420; ++seed) {
         const RandomProgram rp = make_random_program(0xC0FFEE00ULL + seed);
 
-        struct Run {
-            interp::ExecResult result;
-            interp::Context ctx;
-            interp::SpecStats stats;
-        };
-        auto run_with = [&](bool compiled, bool specialize) {
-            interp::ExecConfig cfg;
-            cfg.use_compiled_tasklets = compiled;
-            cfg.specialize = specialize;
-            interp::Interpreter interp(cfg);
-            Run r{interp::ExecResult{}, rp.inputs, interp::SpecStats{}};
-            r.result = interp.run(rp.p, r.ctx);
-            r.stats = interp.plan_cache()->spec_stats();
-            return r;
-        };
-        const Run spec = run_with(true, true);
-        const Run generic = run_with(true, false);
-        const Run reference = run_with(false, false);
+        const TierOut spec = run_cfg(rp.p, rp.inputs, true, true);
+        const TierOut generic = run_cfg(rp.p, rp.inputs, true, false);
+        const TierOut reference = run_cfg(rp.p, rp.inputs, false, false);
 
         const std::string what = "seed " + std::to_string(seed);
-        EXPECT_EQ(spec.result.status, generic.result.status) << what;
-        EXPECT_EQ(spec.result.message, generic.result.message) << what;
-        EXPECT_EQ(spec.result.status, reference.result.status) << what;
-        EXPECT_EQ(spec.result.message, reference.result.message) << what;
+        EXPECT_EQ(spec.res.status, generic.res.status) << what;
+        EXPECT_EQ(spec.res.message, generic.res.message) << what;
+        EXPECT_EQ(spec.res.status, reference.res.status) << what;
+        EXPECT_EQ(spec.res.message, reference.res.message) << what;
         expect_context_equal(spec.ctx, generic.ctx, what + " (spec vs generic)");
-        if (spec.result.ok())
+        if (spec.res.ok())
             expect_context_equal(spec.ctx, reference.ctx, what + " (spec vs reference)",
                                  /*nan_equiv=*/true);
 
-        crashes += spec.result.ok() ? 0 : 1;
+        crashes += spec.res.ok() ? 0 : 1;
         kernels += static_cast<int>(spec.stats.kernel_launches);
         f64s += static_cast<int>(spec.stats.tasklets_f64);
         i64s += static_cast<int>(spec.stats.tasklets_i64);
         segments += static_cast<int>(spec.stats.segment_launches);
+        window_kernels += rp.windows && spec.stats.kernel_launches > 0 ? 1 : 0;
+        tiled_kernels += rp.tiles && spec.stats.kernel_launches > 0 ? 1 : 0;
     }
     // The generator must actually exercise every tier.
     EXPECT_GT(kernels, 50) << "flat-stride kernels barely exercised";
     EXPECT_GT(f64s, 20) << "untagged double VM barely exercised";
     EXPECT_GT(i64s, 10) << "untagged int64 VM barely exercised";
     EXPECT_GT(segments, 20) << "column-width untagged VM barely exercised";
+    EXPECT_GT(window_kernels, 20) << "window lanes barely exercised";
+    EXPECT_GT(tiled_kernels, 20) << "kernel levels under tile parameters barely exercised";
     EXPECT_GT(crashes, 5) << "crash paths barely exercised";
     EXPECT_LT(crashes, 300) << "generator crashes too often to test value paths";
+}
+
+// --- Pinned kernel-level and window fixtures ----------------------------------
+//
+// Each fixture runs the reference, generic and specialized tiers and
+// requires the same status, message and buffers; classification is a plan
+// property, so every tier reports the same scopes_specialized.
+
+/// y[i] = code(inputs) over i in [1, 8] with |x| = |y| = 10, where each
+/// input connector reads the window x[i + lo : i + hi].
+struct WindowInput {
+    std::string conn;
+    std::int64_t lo, hi;
+};
+ir::SDFG make_window_sdfg(const std::string& code, const std::vector<WindowInput>& ins) {
+    ir::SDFG p("window");
+    p.add_array("x", ir::DType::F64, {sym::cst(10)});
+    p.add_array("y", ir::DType::F64, {sym::cst(10)});
+    ir::State& st = p.state(p.add_state("main", true));
+    const ir::NodeId x = st.add_access("x");
+    auto [entry, exit] = st.add_map("m", {"i"}, {ir::Range::span(sym::cst(1), sym::cst(8))});
+    const ir::NodeId t = st.add_tasklet("t", code);
+    const sym::ExprPtr i = sym::symb("i");
+    st.add_edge(x, "", entry, "", ir::Memlet("x", ir::Subset::full({sym::cst(10)})));
+    for (const WindowInput& in : ins)
+        st.add_edge(entry, "", t, in.conn,
+                    ir::Memlet("x", ir::Subset{{ir::Range::span(i + in.lo, i + in.hi)}}));
+    st.add_edge(t, "o", exit, "", ir::Memlet("y", ir::Subset{{ir::Range::index(i)}}));
+    st.add_edge(exit, "", st.add_access("y"), "",
+                ir::Memlet("y", ir::Subset::full({sym::cst(10)})));
+    return p;
+}
+
+interp::Context window_inputs() {
+    interp::Context ctx;
+    ctx.buffers.emplace("x", ff::testing::make_buffer(
+                                 std::vector<double>{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}));
+    return ctx;
+}
+
+TEST(KernelFixtures, WindowLanesRunTheStencil) {
+    const ir::SDFG p = make_window_sdfg("o = w[0] - 2.0 * w[1] + w[2]", {{"w", -1, 1}});
+    const TierOut spec = expect_all_tiers_agree(p, window_inputs(), "3-point stencil");
+    ASSERT_TRUE(spec.res.ok()) << spec.res.message;
+    EXPECT_EQ(spec.stats.scopes_specialized, 1);
+    EXPECT_EQ(spec.stats.tasklets_f64, 1);  // window inputs admit the untagged VM
+    EXPECT_EQ(spec.stats.kernel_launches, 1);
+    EXPECT_EQ(spec.stats.segment_launches, 1);
+    EXPECT_EQ(spec.ctx.buffers.at("y").load_double(1), 3.0 - 2.0 * 1.0 + 4.0);
+}
+
+TEST(KernelFixtures, WindowCrossingTheBufferEdgeFallsBackToTheSameCrash) {
+    // x[i - 1 : i + 2] reaches x[10] at i = 8: points 1..7 commit on the
+    // generic path, then it crashes; the kernel must refuse the launch.
+    const ir::SDFG p = make_window_sdfg("o = w[0] + w[3]", {{"w", -1, 2}});
+    const TierOut spec = expect_all_tiers_agree(p, window_inputs(), "edge-crossing window");
+    EXPECT_EQ(spec.res.status, interp::ExecStatus::Crash);
+    EXPECT_EQ(spec.stats.scopes_specialized, 1);
+    EXPECT_EQ(spec.stats.kernel_fallbacks, 1);
+    EXPECT_EQ(spec.stats.kernel_launches, 0);
+    EXPECT_EQ(spec.ctx.buffers.at("y").load_double(7), 2.0 + 3.0) << "partial effects kept";
+}
+
+TEST(KernelFixtures, DeclaredWidthBeyondTheWindowVolumeRaisesMissingInput) {
+    const ir::SDFG p = make_window_sdfg("o = w[0] + w[2]", {{"w", 0, 1}});
+    const TierOut spec = expect_all_tiers_agree(p, window_inputs(), "width 3, volume 2");
+    EXPECT_EQ(spec.res.status, interp::ExecStatus::Crash);
+    EXPECT_NE(spec.res.message.find("missing input connector 'w'"), std::string::npos)
+        << spec.res.message;
+    EXPECT_EQ(spec.stats.scopes_specialized, 1);
+    EXPECT_EQ(spec.stats.kernel_fallbacks, 1);
+}
+
+TEST(KernelFixtures, SideEffectOnlyWindowIsValidatedWithoutLanes) {
+    const ir::SDFG ok = make_window_sdfg("o = w[0] * 0.5", {{"w", 0, 0}, {"u", -1, 1}});
+    const TierOut spec = expect_all_tiers_agree(ok, window_inputs(), "unread window in bounds");
+    ASSERT_TRUE(spec.res.ok()) << spec.res.message;
+    EXPECT_EQ(spec.stats.scopes_specialized, 1);
+    EXPECT_EQ(spec.stats.kernel_launches, 1);
+
+    // The unread window still bounds-checks every point: x[10] at i = 8.
+    const ir::SDFG oob = make_window_sdfg("o = w[0] * 0.5", {{"w", 0, 0}, {"u", 0, 2}});
+    const TierOut crash =
+        expect_all_tiers_agree(oob, window_inputs(), "unread window off the edge");
+    EXPECT_EQ(crash.res.status, interp::ExecStatus::Crash);
+    EXPECT_EQ(crash.stats.kernel_fallbacks, 1);
+}
+
+TEST(KernelFixtures, RangesReadingTheirOwnOrALaterParameterStayGeneric) {
+    // Map 1: (i, j, k) with j in [0, k] reads k's binding from outside the
+    // scope on the first pass and k's last value afterwards.  Map 2: i in
+    // [0, i] reads the outer i.  Both stale reads are program semantics the
+    // kernel cannot reproduce.
+    ir::SDFG p("stale");
+    p.add_symbol("k");
+    p.add_symbol("i");
+    p.add_array("y", ir::DType::F64, {sym::cst(4), sym::cst(4), sym::cst(4)});
+    p.add_array("z", ir::DType::F64, {sym::cst(8)});
+    ir::State& st = p.state(p.add_state("main", true));
+    const sym::ExprPtr i = sym::symb("i"), j = sym::symb("j"), k = sym::symb("k");
+    {
+        auto [entry, exit] = st.add_map(
+            "later", {"i", "j", "k"},
+            {ir::Range::full(sym::cst(3)), ir::Range{sym::cst(0), k, sym::cst(1)},
+             ir::Range::full(sym::cst(3))});
+        const ir::NodeId t = st.add_tasklet("t", "o = 1.0");
+        const ir::Memlet point("y", ir::Subset{{ir::Range::index(i), ir::Range::index(j),
+                                                ir::Range::index(k)}});
+        st.add_edge(entry, "", t, "", point);
+        st.add_edge(t, "o", exit, "", point);
+        st.add_edge(exit, "", st.add_access("y"), "",
+                    ir::Memlet("y", ir::Subset::full(p.container("y").shape)));
+    }
+    {
+        auto [entry, exit] =
+            st.add_map("own", {"i"}, {ir::Range{sym::cst(0), i, sym::cst(1)}});
+        const ir::NodeId t = st.add_tasklet("t2", "o = 2.0");
+        const ir::Memlet point("z", ir::Subset{{ir::Range::index(i)}});
+        st.add_edge(entry, "", t, "", point);
+        st.add_edge(t, "o", exit, "", point);
+        st.add_edge(exit, "", st.add_access("z"), "",
+                    ir::Memlet("z", ir::Subset::full({sym::cst(8)})));
+    }
+    interp::Context inputs;
+    inputs.symbols["k"] = 1;
+    inputs.symbols["i"] = 5;
+    const TierOut spec = expect_all_tiers_agree(p, inputs, "stale range bindings");
+    ASSERT_TRUE(spec.res.ok()) << spec.res.message;
+    EXPECT_EQ(spec.stats.scopes_planned, 2);
+    EXPECT_EQ(spec.stats.scopes_specialized, 0);
+    EXPECT_EQ(spec.ctx.buffers.at("y").load_double(2 * 16 + 2 * 4 + 0), 1.0);  // j reached 2
+    EXPECT_EQ(spec.ctx.buffers.at("y").load_double(0 * 16 + 2 * 4 + 0), 0.0);  // not at i = 0
+    EXPECT_EQ(spec.ctx.buffers.at("z").load_double(5), 2.0);
+}
+
+TEST(KernelFixtures, TiledNestLaunchesPerTileAndChargesFuelPerTile) {
+    // MapTiling(4) over N = 10: tiles of 4, 4 and a remainder of 2.  The
+    // kernel covers the point level under the tile parameter.
+    ir::SDFG p = make_scale_sdfg("o = i * 2.0 + 1.0");
+    xform::MapTiling tiling(4);
+    tiling.apply(p, tiling.find_matches(p).at(0));
+    interp::Context inputs;
+    inputs.symbols["N"] = 10;
+    std::vector<double> xv(10);
+    for (int v = 0; v < 10; ++v) xv[static_cast<std::size_t>(v)] = 0.5 * v - 1.0;
+    inputs.buffers.emplace("x", ff::testing::make_buffer(xv));
+
+    const TierOut spec = expect_all_tiers_agree(p, inputs, "tiled nest");
+    ASSERT_TRUE(spec.res.ok()) << spec.res.message;
+    EXPECT_EQ(spec.res.points, 10);
+    EXPECT_EQ(spec.stats.scopes_specialized, 1);
+    EXPECT_EQ(spec.stats.kernel_launches, 3);  // one sub-launch per tile
+    EXPECT_EQ(spec.stats.segment_launches, 3);
+    EXPECT_EQ(spec.ctx.buffers.at("y").load_double(9), 2.0 * 3.5 + 1.0);
+
+    // The budget runs out inside the second tile.  The kernel pre-charges
+    // each tile, so it refuses tile 2 whole where the odometer runs two of
+    // its points first (coarser partial effects by design, see ExecResult),
+    // but every tier blames the same limit.
+    const TierOut starved = run_cfg(p, inputs, true, true, /*max_points=*/6);
+    EXPECT_EQ(starved.res.status, interp::ExecStatus::Resource);
+    EXPECT_EQ(starved.stats.kernel_launches, 1);
+    for (const bool compiled : {true, false}) {
+        const TierOut other = run_cfg(p, inputs, compiled, false, 6);
+        EXPECT_EQ(other.res.status, starved.res.status);
+        EXPECT_EQ(other.res.message, starved.res.message);
+    }
+    // Exactly at the boundary the budget is unobservable.
+    const TierOut exact = expect_all_tiers_agree(p, inputs, "budget exact", /*max_points=*/10);
+    ASSERT_TRUE(exact.res.ok()) << exact.res.message;
+    ff::testing::expect_same(exact, spec, "budget-at-limit vs unbudgeted");
+}
+
+// --- Classification guard on the real suite ----------------------------------
+//
+// Tiled reductions and stencil windows are most of suite_correct's trial
+// time; if their transformed cutouts silently fell back to the generic
+// odometer, every test above would still pass and audits would slow down by
+// about a third.  Each transformed cutout below must give every innermost
+// map scope a kernel, and every launch must commit.
+
+struct GuardCase {
+    const char* kernel;
+    const char* transformation;
+    const char* map;  ///< Label of the matched map.
+};
+
+void expect_innermost_scopes_kernelized(const GuardCase& gc) {
+    const std::string what = std::string(gc.kernel) + " " + gc.transformation + " '" + gc.map + "'";
+    const ir::SDFG p = workloads::build_npbench_kernel(gc.kernel);
+    for (const auto& t : xform::builtin_transformations({.table2_bugs = false})) {
+        if (t->name() != gc.transformation) continue;
+        for (const xform::Match& m : t->find_matches(p)) {
+            if (m.description.find(std::string("'") + gc.map + "'") == std::string::npos) continue;
+            core::CutoutOptions opts;
+            opts.defaults = workloads::npbench_defaults();
+            const core::Cutout cutout = core::extract_cutout(p, t->affected_nodes(p, m), opts);
+            ir::SDFG transformed = cutout.program;
+            t->apply(transformed, cutout.remap_match(m));
+
+            std::int64_t innermost = 0;
+            for (const ir::StateId sid : transformed.states()) {
+                const ir::State& st = transformed.state(sid);
+                for (const ir::NodeId n : st.graph().nodes()) {
+                    if (st.graph().node(n).kind != ir::NodeKind::MapEntry) continue;
+                    bool nests = false;
+                    for (const ir::NodeId c : st.scope_nodes(n))
+                        nests |= c != n && st.graph().node(c).kind == ir::NodeKind::MapEntry;
+                    innermost += nests ? 0 : 1;
+                }
+            }
+            interp::Interpreter interp;
+            interp::Context ctx;
+            ctx.symbols = opts.defaults;
+            const interp::ExecResult r = interp.run(transformed, ctx);
+            ASSERT_TRUE(r.ok()) << what << ": " << r.message;
+            const interp::SpecStats stats = interp.plan_cache()->spec_stats();
+            EXPECT_GT(innermost, 0) << what;
+            EXPECT_EQ(stats.scopes_specialized, innermost) << what;
+            EXPECT_GT(stats.kernel_launches, 0) << what;
+            EXPECT_EQ(stats.kernel_fallbacks, 0) << what;
+            return;
+        }
+    }
+    ADD_FAILURE() << what << ": no such instance";
+}
+
+TEST(ClassificationGuard, TiledReductionsAndStencilsCarryKernels) {
+    for (const GuardCase& gc : {GuardCase{"doitgen", "MapTiling", "doitgen_red"},
+                                GuardCase{"3mm", "MapTiling", "mm3_k"},
+                                GuardCase{"heat_3d", "MapTiling", "heat3d"},
+                                GuardCase{"heat_3d", "MapExpansion", "heat3d"},
+                                GuardCase{"jacobi_2d", "MapTiling", "jacobi2d"},
+                                GuardCase{"hdiff", "MapTiling", "laplacian"},
+                                GuardCase{"hdiff", "MapTiling", "flux"}})
+        expect_innermost_scopes_kernelized(gc);
 }
 
 // --- Fuzzer-level toggle determinism ----------------------------------------

@@ -204,9 +204,11 @@ void write_text_file(const std::string& path, const std::string& text) {
     if (out.fail()) throw common::Error("short write to " + path);
 }
 
-/// Emits the canonical report document to `out_path` ("" = stdout) and the
-/// audit table to stdout.
-void emit_report(std::vector<core::FuzzReport> reports, const std::string& out_path) {
+/// Emits the canonical report document to `out_path` ("" = stdout) and an
+/// audit table to stdout: `table` when given, else the document's own,
+/// whose machine-dependent columns (Trials/s, Threads) are canonically zero.
+void emit_report(std::vector<core::FuzzReport> reports, const std::string& out_path,
+                 const std::string& table = "") {
     const common::Json doc = shard::canonical_report_document(std::move(reports));
     const std::string text = doc.dump(2) + "\n";
     if (out_path.empty()) {
@@ -215,7 +217,7 @@ void emit_report(std::vector<core::FuzzReport> reports, const std::string& out_p
         write_text_file(out_path, text);
         std::printf("report: %s\n", out_path.c_str());
     }
-    std::printf("%s", doc.at("table").as_string().c_str());
+    std::printf("%s", table.empty() ? doc.at("table").as_string().c_str() : table.c_str());
 }
 
 std::string records_path_for(const std::string& dir, int shard_index) {
@@ -368,7 +370,10 @@ int cmd_run(const std::vector<std::string>& args) {
         std::printf("corpus: %s (%zu entr%s)\n", corpus_path.c_str(), corpus.size(),
                     corpus.size() == 1 ? "y" : "ies");
     }
-    emit_report(std::move(reports), out_path);
+    // The live reports still carry this process's wall time and thread
+    // count; the table shows them, the canonical document does not.
+    const std::string table = core::audit_table(core::summarize_audit(reports));
+    emit_report(std::move(reports), out_path, table);
     return 0;
 }
 
