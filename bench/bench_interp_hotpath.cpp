@@ -29,9 +29,10 @@
 // ties with width 1 at L = 1 and wins from L = 2.
 //
 // A third section measures the kernel tier against the generic path on the
-// two scope shapes it covers through kernel levels and window lanes: a
-// MapTiling'd reduction nest (one launch per tile; bar >= 1.5x) and a 3-D
-// 27-point stencil (one window input per point; bar >= 5x).
+// scope shapes it covers through kernel levels, window lanes and perfect
+// nests: a MapTiling'd reduction nest (one launch per tile; bar >= 1.5x), a
+// 3-D 27-point stencil (one window input per point; bar >= 5x) and
+// doitgen's accumulation nest (one launch per run; bar >= 4x).
 //
 // Lines prefixed BENCH_KV are machine-readable; scripts/bench_hotpath_json.py
 // folds them into a BENCH_hotpath.json baseline artifact (CI uploads it).
@@ -189,6 +190,8 @@ double measure_flat(ir::DType dtype, std::int64_t inner, int reps,
 
 constexpr std::int64_t kTiledN = 48;
 constexpr std::int64_t kStencilN = 24;
+constexpr std::int64_t kNestN = 24;
+constexpr int kNestReps = 6;
 
 /// Tiled reduction: C[i, j] += A[i, k] * B[k, j] with the k map tiled by
 /// MapTiling(8), so its range reads k__tile and the kernel covers the
@@ -237,6 +240,47 @@ ir::SDFG build_stencil() {
                 ir::Memlet("B", ir::Subset{{ir::Range::index(i), ir::Range::index(j),
                                             ir::Range::index(k)}}));
     st.add_edge(exit, "", st.add_access("B"), "", ir::Memlet("B", full3));
+    return p;
+}
+
+/// doitgen's accumulation nest without its zero init: Aout[i, j, k] +=
+/// A[i, j, l] * C4[l, k], a parallel (i, j, k) map whose only child is the
+/// sequential l map.  One kernel spans both scopes, so a run launches once
+/// where the l scope alone would launch N * N * M times.
+ir::SDFG build_nest() {
+    ir::SDFG p("nest");
+    p.add_symbol("N");
+    p.add_symbol("M");
+    const sym::ExprPtr n = sym::symb("N"), m = sym::symb("M");
+    p.add_array("A", ir::DType::F64, {n, n, m});
+    p.add_array("C4", ir::DType::F64, {m, m});
+    p.add_array("Aout", ir::DType::F64, {n, n, m});
+    ir::State& st = p.state(p.add_state("main", true));
+    const sym::ExprPtr i = sym::symb("i"), j = sym::symb("j"), k = sym::symb("k"),
+                       l = sym::symb("l");
+    auto [outer, outer_exit] =
+        st.add_map("doitgen", {"i", "j", "k"},
+                   {ir::Range::full(n), ir::Range::full(n), ir::Range::full(m)},
+                   ir::Schedule::Parallel);
+    auto [red, red_exit] =
+        st.add_map("doitgen_red", {"l"}, {ir::Range::full(m)}, ir::Schedule::Sequential);
+    const ir::NodeId t = st.add_tasklet("doitgen_acc", "cout = cin + a * c");
+    const ir::Subset out{{ir::Range::index(i), ir::Range::index(j), ir::Range::index(k)}};
+    for (const char* name : {"A", "C4", "Aout"}) {
+        const ir::Subset full = ir::Subset::full(p.container(name).shape);
+        st.add_edge(st.add_access(name), "", outer, "", ir::Memlet(name, full));
+        st.add_edge(outer, "", red, "", ir::Memlet(name, full));
+    }
+    st.add_edge(red, "", t, "a",
+                ir::Memlet("A", ir::Subset{{ir::Range::index(i), ir::Range::index(j),
+                                            ir::Range::index(l)}}));
+    st.add_edge(red, "", t, "c",
+                ir::Memlet("C4", ir::Subset{{ir::Range::index(l), ir::Range::index(k)}}));
+    st.add_edge(red, "", t, "cin", ir::Memlet("Aout", out));
+    st.add_edge(t, "cout", red_exit, "", ir::Memlet("Aout", out));
+    st.add_edge(red_exit, "", outer_exit, "", ir::Memlet("Aout", out));
+    st.add_edge(outer_exit, "", st.add_access("Aout"), "",
+                ir::Memlet("Aout", ir::Subset::full(p.container("Aout").shape)));
     return p;
 }
 
@@ -376,8 +420,9 @@ void print_report() {
     }
 
     // Scope shapes the kernel tier covers through kernel levels (a tiled
-    // reduction: one launch per tile, width 1 on the stride-0 accumulator)
-    // and window lanes (a 3-D stencil: 27 lanes per point, segments).
+    // reduction: one launch per tile, width 1 on the stride-0 accumulator),
+    // window lanes (a 3-D stencil: 27 lanes per point, segments) and
+    // perfect nests (doitgen: one launch per run, width 1).
     const ir::SDFG tiled = build_tiled();
     const sym::Bindings tiled_binds{{"N", kTiledN}};
     const double tiled_generic = points_per_s(tiled, tiled_binds, false, 6);
@@ -388,7 +433,17 @@ void print_report() {
     const double stencil_generic = points_per_s(stencil, stencil_binds, false, 6);
     const double stencil_kernel = points_per_s(stencil, stencil_binds, true, 6);
     const double stencil_speedup = stencil_kernel / stencil_generic;
-    bench::banner("Kernel levels and window lanes - map points per second, kernel vs generic");
+    const ir::SDFG nest = build_nest();
+    const sym::Bindings nest_binds{{"N", kNestN}, {"M", kNestN}};
+    const double nest_generic = points_per_s(nest, nest_binds, false, kNestReps);
+    interp::SpecStats nest_spec;
+    const double nest_kernel = points_per_s(nest, nest_binds, true, kNestReps, &nest_spec);
+    const double nest_speedup = nest_kernel / nest_generic;
+    // points_per_s runs once to warm up, then kNestReps timed runs.
+    const double nest_launches =
+        static_cast<double>(nest_spec.kernel_launches) / static_cast<double>(kNestReps + 1);
+    bench::banner("Kernel levels, window lanes and perfect nests - map points per second, "
+                  "kernel vs generic");
     std::printf("  tiled reduction (N=%lld, tile 8): generic %12.0f pts/s, kernel %12.0f pts/s "
                 "-> %.2fx (acceptance bar: >= 1.5x) %s\n",
                 static_cast<long long>(kTiledN), tiled_generic, tiled_kernel, tiled_speedup,
@@ -397,6 +452,10 @@ void print_report() {
                 "pts/s -> %.2fx (acceptance bar: >= 5x) %s\n",
                 static_cast<long long>(kStencilN), stencil_generic, stencil_kernel,
                 stencil_speedup, stencil_speedup >= 5.0 ? "PASS" : "FAIL");
+    std::printf("  accumulation nest (doitgen, N=M=%lld): generic %12.0f pts/s, kernel %12.0f "
+                "pts/s -> %.2fx, %.2f launches/run (acceptance bar: >= 4x, 1 launch/run) %s\n",
+                static_cast<long long>(kNestN), nest_generic, nest_kernel, nest_speedup,
+                nest_launches, nest_speedup >= 4.0 && nest_launches == 1.0 ? "PASS" : "FAIL");
 
     // Crossover evidence: the same chain and points with inner extent L,
     // relative to L = 1.  Segments run whenever L > 1.
@@ -470,6 +529,10 @@ void print_report() {
     std::printf("BENCH_KV stencil_generic_pts_per_s=%.0f stencil_kernel_pts_per_s=%.0f\n",
                 stencil_generic, stencil_kernel);
     std::printf("BENCH_KV stencil_speedup=%.3f\n", stencil_speedup);
+    std::printf("BENCH_KV nest_generic_pts_per_s=%.0f nest_kernel_pts_per_s=%.0f\n",
+                nest_generic, nest_kernel);
+    std::printf("BENCH_KV nest_speedup=%.3f\n", nest_speedup);
+    std::printf("BENCH_KV nest_launches_per_run=%.3f\n", nest_launches);
     std::printf("BENCH_KV parallel_1t_exec_per_s=%.0f\n", one);
     std::printf("BENCH_KV parallel_nt_exec_per_s=%.0f parallel_threads=%d\n", many, threads);
 }

@@ -31,6 +31,8 @@ REQUIRED_KEYS = (
     "flat_i64_batch_speedup",
     "tiled_speedup",
     "stencil_speedup",
+    "nest_speedup",
+    "nest_launches_per_run",
 )
 
 

@@ -62,6 +62,14 @@ std::int64_t saturating_add(std::int64_t counter, __int128 amount) {
     return sum > kMax ? kMax : static_cast<std::int64_t>(sum);
 }
 
+/// Saturating product of two point counts in [0, 2^63]: clamps at the
+/// int64 maximum, so products of nest extents never overflow __int128.
+__int128 saturating_mul(__int128 a, __int128 b) {
+    const __int128 product = a * b;
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    return product > kMax ? kMax : product;
+}
+
 // --- Untagged lane movers -----------------------------------------------------
 //
 // The untagged VM runs on T = double (float-family signature) or int64
@@ -304,26 +312,49 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
     const std::size_t nparams = sp.params.size();
     if (!sp.pure || nparams == 0) return;
 
-    // Kernel levels: a range may reference an earlier own parameter, which
-    // the generic odometer then binds above the kernel; a reference to its
-    // own or a later parameter would read a stale binding.
+    // A perfect nest — a scope whose only child is another map scope,
+    // recursively — spans its chain's levels too (purity is inherited).
     ScopeKernel kern;
-    for (std::size_t k = 0; k < nparams; ++k) {
-        const RangePlan& r = sp.ranges[k];
-        for (std::size_t j = 0; j < nparams; ++j) {
-            if (!r.begin.uses_any(&sp.params[j], 1) && !r.end.uses_any(&sp.params[j], 1) &&
-                !r.step.uses_any(&sp.params[j], 1))
+    const ScopePlan* leaf = &sp;
+    std::vector<const RangePlan*> ranges;
+    std::vector<sym::SymId> params;
+    std::vector<const std::string*> names;
+    for (;;) {
+        for (std::size_t p = 0; p < leaf->params.size(); ++p) {
+            if (std::find(params.begin(), params.end(), leaf->params[p]) != params.end())
+                return;  // a repeated parameter shadows: the nest stays unfused
+            ranges.push_back(&leaf->ranges[p]);
+            params.push_back(leaf->params[p]);
+            names.push_back(leaf->param_names[p]);
+        }
+        if (leaf->children.size() != 1 ||
+            state.graph().node(leaf->children[0]).kind != NodeKind::MapEntry)
+            break;
+        const int c = plan.node_to_scope[static_cast<std::size_t>(leaf->children[0])];
+        kern.chain.push_back(c);
+        leaf = &plan.scope_plans[static_cast<std::size_t>(c)];
+    }
+
+    // Kernel levels: a range may reference an earlier level's parameter,
+    // which the generic odometer then binds above the kernel; a reference to
+    // its own or a later level's parameter would read a stale binding.  In a
+    // nest, `first` must stay within the owner's levels.
+    for (std::size_t k = 0; k < params.size(); ++k) {
+        const RangePlan& r = *ranges[k];
+        for (std::size_t j = 0; j < params.size(); ++j) {
+            if (!r.begin.uses_any(&params[j], 1) && !r.end.uses_any(&params[j], 1) &&
+                !r.step.uses_any(&params[j], 1))
                 continue;
             if (j >= k) return;
             kern.first = std::max(kern.first, j + 1);
         }
     }
-    const std::vector<const std::string*> kparams(sp.param_names.begin() +
-                                                      static_cast<std::ptrdiff_t>(kern.first),
-                                                  sp.param_names.end());
+    if (kern.first > nparams) return;
+    const std::vector<const std::string*> kparams(
+        names.begin() + static_cast<std::ptrdiff_t>(kern.first), names.end());
 
-    for (const ir::NodeId c : sp.children) {
-        if (state.graph().node(c).kind != NodeKind::Tasklet) return;  // nested scope etc.
+    for (const ir::NodeId c : leaf->children) {
+        if (state.graph().node(c).kind != NodeKind::Tasklet) return;  // imperfect nest etc.
         const TaskletPlan* tp = plan.plan_of(c);
         if (!tp || tp->use_reference) return;
         // A declared input bound by no edge throws at every point — leave
@@ -724,9 +755,11 @@ void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
     const std::int64_t cov_snapshot = points_used_;
 
     // Flat-stride kernel: when the scope classified at plan time, the
-    // odometer below hands the kernel levels [first, n) to
-    // execute_scope_kernel at every point of the levels above them.  A
-    // launch whose validation fails runs those levels on the odometer,
+    // odometer below hands the kernel levels — [first, n) and, for a
+    // perfect nest, every chain level — to execute_scope_kernel at every
+    // point of the levels above them (at level n itself when first == n,
+    // before that point is charged).  A launch whose validation fails runs
+    // those levels on the odometer (and the chain scopes' own kernels),
     // which reproduces the unspecialized path's exact effects and errors.
     const ScopeKernel* kern = interned_only && config_.specialize && sp.kernel >= 0
                                   ? &plan.kernels[static_cast<std::size_t>(sp.kernel)]
@@ -794,9 +827,14 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
                                        Context& ctx) {
     Scratch& s = scratch_;
     const std::size_t first = kern.first;
-    const std::size_t levels = sp.params.size() - first;
-    // Caller (execute_scope) pushed this scope's active_params block.
-    const std::size_t abase = s.active_params.size() - levels;
+    const auto scope = [&](int c) -> const ScopePlan& {
+        return plan.scope_plans[static_cast<std::size_t>(c)];
+    };
+    const std::size_t own = sp.params.size() - first;  // the owner's kernel levels
+    std::size_t levels = own;
+    for (const int c : kern.chain) levels += scope(c).params.size();
+    // Caller (execute_scope) pushed the owner's active_params block.
+    const std::size_t abase = s.active_params.size() - own;
 
     // The kernel bypasses execute_tasklet_planned, so it owns the Buffer*
     // cache guard its per-point loop relies on.
@@ -809,33 +847,72 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     // 1. Ranges, level by level: an empty level returns before a deeper
     // level's step-0 / unbound-symbol error fires, exactly like the generic
     // path (whose inner levels are never evaluated under an empty outer one).
+    // Returns the level's point count, or -1 past 2^31 points (no
+    // throughput difference either way; keeps the footprint arithmetic
+    // comfortably inside __int128).
     s.kbegin.resize(levels);
     s.kstep.resize(levels);
     s.kcount.resize(levels);
-    for (std::size_t k = 0; k < levels; ++k) {
-        const RangePlan& r = sp.ranges[first + k];
+    const auto eval_level = [&](std::size_t k, const RangePlan& r) {
         const std::int64_t begin = r.begin.eval(s.flat, s.eval_stack);
         const std::int64_t end = r.end.eval(s.flat, s.eval_stack);
         const std::int64_t step = r.step.eval(s.flat, s.eval_stack);
         if (step == 0) throw common::Error("map '" + sp.label + "' has step 0");
         const std::int64_t count =
             ir::concrete_range_size(ir::ConcreteRange{begin, end, step});
-        if (count == 0) return true;  // empty nest: nothing executes, committed
-        // Extents past 2^31 make no throughput difference either way; keep
-        // the footprint arithmetic comfortably inside __int128.
-        if (count > (std::int64_t{1} << 31)) return false;
+        if (count > (std::int64_t{1} << 31)) return std::int64_t{-1};
         s.kbegin[k] = begin;
         s.kstep[k] = step;
         s.kcount[k] = count;
+        return count;
+    };
+    for (std::size_t k = 0; k < own; ++k) {
+        const std::int64_t count = eval_level(k, sp.ranges[first + k]);
+        if (count == 0) return true;  // empty nest: nothing executes, committed
+        if (count < 0) return false;
+    }
+    // The generic path evaluates a chain scope's ranges only after charging
+    // the owner's point, so an empty chain level, a step of 0 or a throw
+    // falls back: the odometer then charges and raises exactly as always.
+    try {
+        std::size_t k = own;
+        for (const int c : kern.chain)
+            for (const RangePlan& r : scope(c).ranges)
+                if (eval_level(k++, r) <= 0) return false;
+    } catch (...) {
+        return false;
     }
 
-    // 2. Bind parameters to the begin point, so base-index evaluation and
-    // any lazy buffer-shape resolution see exactly what the generic path's
-    // first iteration would.
-    for (std::size_t k = 0; k < levels; ++k) {
+    // 2. Bind every level's parameter to the begin point, so base-index
+    // evaluation and any lazy buffer-shape resolution see exactly what the
+    // generic path's first iteration would.  Chain parameters are saved and
+    // pushed above the owner's block, as their execute_scope would.
+    const std::size_t pbase = s.param_stack.size();
+    const std::size_t cbase = s.active_params.size();
+    for (std::size_t k = 0; k < own; ++k) {
         s.flat.bind(sp.params[first + k], s.kbegin[k]);
         s.active_params[abase + k].value = s.kbegin[k];
     }
+    for (std::size_t k = own; const int c : kern.chain) {
+        const ScopePlan& cs = scope(c);
+        for (std::size_t p = 0; p < cs.params.size(); ++p, ++k) {
+            const sym::SymId id = cs.params[p];
+            const bool bound = s.flat.is_bound(id);
+            s.param_stack.push_back(
+                Scratch::SavedParam{id, bound, bound ? s.flat.value(id) : 0, false, 0});
+            s.active_params.push_back(Scratch::ActiveParam{cs.param_names[p], s.kbegin[k]});
+            s.flat.bind(id, s.kbegin[k]);
+        }
+    }
+    const auto restore_chain = [&] {
+        for (std::size_t i = pbase; i < s.param_stack.size(); ++i) {
+            const Scratch::SavedParam& sv = s.param_stack[i];
+            if (sv.flat_bound) s.flat.bind(sv.id, sv.flat_value);
+            else s.flat.unbind(sv.id);
+        }
+        s.param_stack.resize(pbase);
+        s.active_params.resize(cbase);
+    };
 
     // 3. Per access, in the generic path's first-point order: ensure the
     // buffer, evaluate the begin corner (and a window's extents), validate
@@ -937,11 +1014,16 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
         }
         return true;
     };
+    bool ok = true;
     try {
         for (const KernelAccess& ka : kern.accesses)
-            if (!setup_access(ka)) return false;
+            if (!(ok = setup_access(ka))) break;
     } catch (...) {
-        return false;  // generic replay re-raises from the right point
+        ok = false;  // generic replay re-raises from the right point
+    }
+    if (!ok) {
+        restore_chain();
+        return false;
     }
 
     // 3.5. Resource accounting, whole launch at once: the committed loop
@@ -950,16 +1032,25 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     // launch either completes every point or hits the same fuel exhaustion
     // — charging up front is observationally identical and keeps the loop
     // check-free.  Charged after lane setup so a fallback never
-    // double-counts.
+    // double-counts.  Every scope of the nest charges what its odometer
+    // would: one per point of the levels through it — for the owner, its
+    // kernel levels (the empty product, its own point, when first == n:
+    // the launch then stands where the odometer charges that point).
     {
-        __int128 total = 1;
-        for (std::size_t k = 0; k < levels; ++k) total *= s.kcount[k];
+        __int128 total = 0, through = 1;
+        std::size_t k = 0;
+        const auto charge = [&](std::size_t n) {
+            for (; n > 0; --n, ++k) through = saturating_mul(through, s.kcount[k]);
+            total += through;
+        };
+        charge(own);
+        for (const int c : kern.chain) charge(scope(c).params.size());
         if (config_.max_points > 0 &&
             static_cast<__int128>(points_used_) + total > config_.max_points)
             throw common::ResourceError::points(config_.max_points);
         points_used_ = saturating_add(points_used_, total);
         instructions_used_ = saturating_add(
-            instructions_used_, total * static_cast<__int128>(kern.tasklets.size()));
+            instructions_used_, through * static_cast<__int128>(kern.tasklets.size()));
     }
 
     // 4. The launch loop.  The innermost level runs as segments of length
@@ -1031,16 +1122,33 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
         // Odometer over the outer levels: find the deepest level that
         // advances; the precomputed delta folds that advance plus every
         // deeper level's reset into one add per lane.
-        if (outer == 0) return true;
-        std::size_t k = outer - 1;
-        for (;;) {
-            if (++s.kiter[k] < s.kcount[k]) break;
-            s.kiter[k] = 0;
-            if (k == 0) return true;  // every level wrapped: done
-            --k;
-        }
-        for (std::size_t l = 0; l < nlanes; ++l) s.lanes[l].offset += s.lane_delta[l * levels + k];
+        std::size_t k = outer;
+        while (k > 0 && ++s.kiter[k - 1] == s.kcount[k - 1]) s.kiter[--k] = 0;
+        if (k == 0) break;  // every level wrapped: done
+        for (std::size_t l = 0; l < nlanes; ++l)
+            s.lanes[l].offset += s.lane_delta[l * levels + k - 1];
     }
+
+    // Coverage of the chain scopes, which the launch stands in for: each
+    // iterates the same points at every execution of this launch (their
+    // ranges are launch constants), so one mark per scope and launch gives
+    // the generic path's bitmap.  The owner's marks stay execute_scope's.
+    if (cov_map_) {
+        __int128 per_exec = 0;  // points of one execution of the scope below
+        std::size_t k = levels;
+        for (auto it = kern.chain.rbegin(); it != kern.chain.rend(); ++it) {
+            const ScopePlan& cs = scope(*it);
+            __int128 points = 1;
+            for (std::size_t p = 0; p < cs.params.size(); ++p)
+                points = saturating_mul(points, s.kcount[--k]);
+            per_exec = saturating_mul(points, 1 + per_exec);
+            const auto cls = static_cast<std::uint32_t>(
+                feedback::region_class(static_cast<std::int64_t>(per_exec)));
+            for (const std::uint32_t base : cs.cov_bases) cov_map_->mark(base + cls);
+        }
+    }
+    restore_chain();
+    return true;
 }
 
 template <typename T, std::int64_t W>

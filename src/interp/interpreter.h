@@ -66,7 +66,12 @@
 // the generic odometer iterates the levels above it and launches the kernel
 // once per point of them, and those outer parameters act as launch
 // constants.  A range referencing its own or a later parameter would read a
-// stale binding, so that scope stays generic.  Inputs may be single points
+// stale binding, so that scope stays generic.  A perfect nest — a scope
+// whose only child is another map scope, recursively — is one kernel: its
+// levels are the nest's parameters concatenated, owner first, the same
+// `first` rule applies across them (a nest whose `first` would fall inside
+// the chain stays unfused), and a rectangular nest launches once per state
+// execution instead of once per outer point.  Inputs may be single points
 // or windows (every varying dimension step 1, begin and end affine with
 // equal coefficients, e.g. a stencil's A[i-1:i+1, j-1:j+1]): each launch
 // expands a window into one lane per connector slot, in row-major order.
@@ -280,19 +285,22 @@ struct ScopePlan {
     /// touching the string-keyed Context map.
     bool pure = false;
     /// Index into StatePlan::kernels when this scope classified as a
-    /// flat-stride kernel; -1 otherwise.
+    /// flat-stride kernel (over its own levels, or over the perfect nest it
+    /// owns); -1 otherwise.
     int kernel = -1;
     /// Concatenated cov_bases of this scope's *direct* tasklet children:
     /// after a successful launch the interpreter marks base +
     /// region_class(points this launch iterated) for each — one pass over a
     /// flat vector, no per-point work (see feedback/coverage.h).  Nested
-    /// scopes mark their own tasklets per inner launch.
+    /// scopes mark their own tasklets per execution; a nest launch marks
+    /// its chain scopes' once per launch.
     std::vector<std::uint32_t> cov_bases;
 };
 
 /// One memlet of a flat-stride kernel: the affine decomposition of its
 /// subset's begin corner over the kernel levels.  begin_d = base_d +
-/// sum_k coeffs[d * levels + k] * param_(first + k), where base_d is
+/// sum_k coeffs[d * levels + k] * param_k, where param_k is kernel level
+/// k's parameter (the owner's level first + k, then the chain's), base_d is
 /// obtained at launch time by evaluating the lowered begin programs at the
 /// ranges' begin point (parameters of the levels above the kernel are
 /// bound there, so they land in the base).  A single-point access is one
@@ -313,20 +321,27 @@ struct KernelAccess {
     std::vector<std::int64_t> coeffs;  ///< dims x kernel levels, row-major.
 };
 
-/// Flat-stride specialization of one map scope: every child is a compiled
-/// tasklet, and every memlet index is affine in the kernel levels'
-/// parameters with constant coefficients — per-point addressing collapses
-/// to one precomputed flat-offset add per lane.  Classified once at plan
+/// Flat-stride specialization of one map scope or perfect nest: every leaf
+/// child is a compiled tasklet, and every memlet index is affine in the
+/// kernel levels' parameters with constant coefficients — per-point
+/// addressing collapses to one precomputed flat-offset add per lane.  Classified once at plan
 /// time; every launch still validates ranks and the concrete iteration
 /// footprint, handing launches that could fault back to the generic
 /// odometer (which owns partial-effect and error-ordering semantics).
 struct ScopeKernel {
-    /// Lowest scope level the kernel covers: 1 + the highest own-parameter
-    /// level any later level's range references, 0 when none does.  The
-    /// generic odometer iterates levels [0, first) and launches the kernel
-    /// over [first, n) once per point of them.
+    /// Lowest owner level the kernel covers: 1 + the highest level any
+    /// later level's range references (counting the chain's levels after
+    /// the owner's), 0 when none does.  The generic odometer iterates the
+    /// owner's levels [0, first) and launches the kernel over the rest of
+    /// the nest once per point of them.
     std::size_t first = 0;
-    std::vector<int> tasklets;           ///< tasklet_plans indices, child order.
+    /// Perfect-nest chain: the scopes below the owner whose levels the
+    /// kernel spans after the owner's, outermost first (StatePlan::
+    /// scope_plans indices; empty for a single-scope kernel).  Each chain
+    /// scope is the owner's only child's scope, the last one holds the
+    /// tasklets, and each keeps its own kernel for fallbacks.
+    std::vector<int> chain;
+    std::vector<int> tasklets;           ///< Leaf tasklet_plans indices, child order.
     std::vector<KernelAccess> accesses;  ///< Grouped by tasklet, inputs first.
     /// Segment-eligible: every tasklet selected an untagged signature and is
     /// straight-line, so the innermost extent can execute at column width.
@@ -444,14 +459,19 @@ private:
                               const StatePlan& plan, ir::NodeId node, Context& ctx);
     void execute_scope(const ir::SDFG& sdfg, const ir::State& state, const StatePlan& plan,
                        ir::NodeId entry, Context& ctx);
-    /// Attempts one flat-stride launch over the kernel levels [kern.first,
-    /// n) at the current point of the levels above them.  Returns false
-    /// when per-launch validation (rank match, footprint in bounds, window
-    /// volumes, sane extents) fails — the caller then runs the generic
-    /// odometer over the same levels, which reproduces the exact partial
-    /// effects and error of the unspecialized path.  Ranges are evaluated
-    /// level by level exactly like the generic path, so step-0 /
-    /// unbound-symbol errors surface identically.
+    /// Attempts one flat-stride launch over the kernel levels — the owner's
+    /// [kern.first, n), then every chain scope's — at the current point of
+    /// the levels above them.  Returns false when per-launch validation
+    /// (rank match, footprint in bounds, window volumes, sane extents, a
+    /// non-empty chain with nonzero steps) fails — the caller then runs the
+    /// generic odometer over the same levels, which reproduces the exact
+    /// partial effects and error of the unspecialized path.  The owner's
+    /// ranges are evaluated level by level exactly like the generic path,
+    /// so step-0 / unbound-symbol errors surface identically; a chain range
+    /// that would raise falls back instead, because the odometer reaches it
+    /// only after charging the owner's point.  A committed launch binds and
+    /// restores the chain parameters, charges every scope's points and
+    /// marks each chain scope's coverage as their execute_scope would.
     bool execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& plan, const ScopePlan& sp,
                               const ScopeKernel& kern, Context& ctx);
     /// Whether this launch's concrete lane windows permit running the
@@ -548,9 +568,9 @@ private:
     std::int64_t alloc_used_ = 0;
 
     /// Kernel launches committed / fallen back / run as segments since the
-    /// last flush_launch_stats().  A tiled nest launches once per tile, so
-    /// counting into the shared atomics per launch would put them on the
-    /// hot path.
+    /// last flush_launch_stats().  A tiled or triangular nest launches once
+    /// per point above its kernel, so counting into the shared atomics per
+    /// launch would put them on the hot path.
     std::int64_t launches_ = 0, fallbacks_ = 0, segment_launches_ = 0;
 
     /// Flat, reusable execution scratch: all per-map-point storage lives

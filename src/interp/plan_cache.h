@@ -61,23 +61,26 @@ using PlanKey = std::tuple<std::uint64_t, std::uint64_t, const ir::State*>;
 /// Specialization counters of one plan cache (see docs/TUNING.md).
 ///
 /// The plan-time fields count classification outcomes — how many map scopes
-/// collapsed to flat-stride kernels (and of those, how many are
-/// segment-eligible) and how many tasklets got an untagged engine (f64 or
-/// i64) — once per built StatePlan.  The runtime fields count kernel
-/// launches — one per point of the levels above the kernel, so a tiled nest
-/// launches once per tile: a *fallback* is a launch whose validation (rank,
-/// footprint, window volume) handed its levels back to the generic odometer;
+/// own a flat-stride kernel (over their own levels or, as a perfect nest's
+/// owner, over the whole nest below them; a chain scope owns the nest below
+/// it and counts too) and of those, how many are segment-eligible, and how
+/// many tasklets got an untagged engine (f64 or i64) — once per built
+/// StatePlan.  The runtime fields count kernel launches — one per point of
+/// the levels above the kernel, so a tiled nest launches once per tile and a
+/// rectangular perfect nest once per state execution: a *fallback* is a
+/// launch whose validation (rank, footprint, window volume, an empty or
+/// step-0 chain level) handed its levels back to the generic odometer;
 /// a *segment launch* is a committed launch that ran its innermost extent as
 /// one column-width segment instead of point by point.  Counter values never
 /// influence results; they exist for benchmarks and tuning.
 struct SpecStats {
     std::int64_t scopes_planned = 0;      ///< Map scopes classified.
-    std::int64_t scopes_specialized = 0;  ///< ... that carry a flat-stride kernel.
+    std::int64_t scopes_specialized = 0;  ///< ... that own a flat-stride kernel.
     std::int64_t scopes_segmented = 0;    ///< ... whose kernel is segment-eligible.
     std::int64_t tasklets_planned = 0;    ///< Tasklet plans built.
     std::int64_t tasklets_f64 = 0;        ///< ... selecting the untagged f64 VM.
     std::int64_t tasklets_i64 = 0;        ///< ... selecting the untagged i64 VM.
-    std::int64_t kernel_launches = 0;     ///< Flat-stride (sub-)launches committed.
+    std::int64_t kernel_launches = 0;     ///< Flat-stride (sub-/nest) launches committed.
     std::int64_t kernel_fallbacks = 0;    ///< Launches revalidated onto the generic path.
     std::int64_t segment_launches = 0;    ///< Committed launches that ran batched segments.
 

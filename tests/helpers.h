@@ -64,12 +64,14 @@ inline std::vector<double> to_vector(const interp::Buffer& buf) {
     return out;
 }
 
-/// One execution of a program on one tier: result, final context and the
-/// plan cache's specialization counters.
+/// One execution of a program on one tier: result, final context, the
+/// plan cache's specialization counters and the cache itself (its plans
+/// carry the classification).
 struct TierOut {
     interp::ExecResult res;
     interp::Context ctx;
     interp::SpecStats stats;
+    interp::PlanCachePtr plans;
 };
 
 inline TierOut run_cfg(const ir::SDFG& p, const interp::Context& inputs, bool compiled,
@@ -85,6 +87,7 @@ inline TierOut run_cfg(const ir::SDFG& p, const interp::Context& inputs, bool co
     TierOut out{interp::ExecResult{}, inputs, interp::SpecStats{}};
     out.res = interp.run(p, out.ctx);
     out.stats = interp.plan_cache()->spec_stats();
+    out.plans = interp.plan_cache();
     return out;
 }
 

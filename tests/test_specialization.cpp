@@ -12,10 +12,13 @@
 // over shared plan caches carrying kernel classifications).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,10 +26,12 @@
 #include "core/cutout.h"
 #include "core/fuzzer.h"
 #include "core/report.h"
+#include "feedback/coverage.h"
 #include "helpers.h"
 #include "interp/interpreter.h"
 #include "interp/plan_cache.h"
 #include "ir/subset.h"
+#include "transforms/map_expansion.h"
 #include "transforms/map_tiling.h"
 #include "transforms/registry.h"
 #include "workloads/matchain.h"
@@ -327,15 +332,18 @@ TEST(Specialization, ThrowingSiblingLaneFallsBackToGenericReplay) {
 // --- Differential property test ----------------------------------------------
 //
 // 420 random programs spanning dtypes, ranks 1-3, strided/offset/reversed
-// subsets, non-affine indices, triangular (non-constant) ranges, tiled nests
-// with remainder tiles, window inputs and occasional out-of-bounds offsets.  Reference AST engine, generic compiled path and
-// specialized path must agree bit for bit — results and crash messages.
+// subsets, non-affine indices, triangular (non-constant, sometimes empty)
+// ranges, tiled nests with remainder tiles, perfect nests of 2-3 scopes,
+// window inputs and occasional out-of-bounds offsets.  Reference AST engine,
+// generic compiled path and specialized path must agree bit for bit —
+// results and crash messages.
 
 struct RandomProgram {
     ir::SDFG p{"prop"};
     interp::Context inputs;
     bool windows = false;  ///< Some stage reads a window input.
     bool tiles = false;    ///< Some stage iterates a tiled nest.
+    bool nests = false;    ///< Some stage splits its levels into a perfect nest.
 };
 
 ir::DType pick_dtype(common::Rng& rng) {
@@ -419,10 +427,11 @@ ir::NodeId random_stage(common::Rng& rng, RandomProgram& rp, ir::State& st, ir::
                     ir::Range{sym::cst(0), sym::cst(2 * (extent - 1)), sym::cst(2)});
                 break;
             default:  // triangular against the previous param: the kernel
-                      // covers the levels below it (kernel levels)
+                      // covers the levels below it (kernel levels); from 1,
+                      // the level is empty wherever the previous one is 0
                 if (d > 0 && rng.chance(0.8))
-                    ranges.push_back(ir::Range{sym::cst(0), sym::symb(params[d - 1]),
-                                               sym::cst(1)});
+                    ranges.push_back(ir::Range{sym::cst(rng.uniform_int(0, 1)),
+                                               sym::symb(params[d - 1]), sym::cst(1)});
                 else
                     ranges.push_back(ir::Range::full(sym::cst(extent)));
                 break;
@@ -480,10 +489,52 @@ ir::NodeId random_stage(common::Rng& rng, RandomProgram& rp, ir::State& st, ir::
 
     tile_params.insert(tile_params.end(), params.begin(), params.end());
     tile_ranges.insert(tile_ranges.end(), ranges.begin(), ranges.end());
-    auto [entry, exit] = st.add_map("m" + std::to_string(stage), tile_params, tile_ranges);
+
+    // Some stages split their levels into a perfect nest of 2-3 scopes, so
+    // triangular and tiled ranges also land across scopes: a chain range
+    // reading an owner level moves the kernel's first level (to the owner's
+    // parameter count when it reads the owner's last), one reading a chain
+    // level keeps the nest unfused.
+    const std::size_t nlevels = tile_params.size();
+    std::vector<std::size_t> cuts;
+    if (nlevels >= 2 && rng.chance(0.35)) {
+        rp.nests = true;
+        const std::size_t splits =
+            std::min<std::size_t>(nlevels - 1, static_cast<std::size_t>(rng.uniform_int(1, 2)));
+        while (cuts.size() < splits) {
+            const auto c = static_cast<std::size_t>(
+                rng.uniform_int(1, static_cast<std::int64_t>(nlevels) - 1));
+            if (std::find(cuts.begin(), cuts.end(), c) == cuts.end()) cuts.push_back(c);
+        }
+        std::sort(cuts.begin(), cuts.end());
+    }
+    cuts.insert(cuts.begin(), 0);
+    cuts.push_back(nlevels);
+    std::vector<std::pair<ir::NodeId, ir::NodeId>> maps;
+    for (std::size_t s = 0; s + 1 < cuts.size(); ++s) {
+        const auto lo = static_cast<std::ptrdiff_t>(cuts[s]);
+        const auto hi = static_cast<std::ptrdiff_t>(cuts[s + 1]);
+        maps.push_back(st.add_map(
+            "m" + std::to_string(stage) + (s > 0 ? "_" + std::to_string(s) : ""),
+            {tile_params.begin() + lo, tile_params.begin() + hi},
+            {tile_ranges.begin() + lo, tile_ranges.begin() + hi}));
+    }
+    // Scope-boundary edges carry whole containers; the tasklet connects to
+    // the innermost scope.
+    const ir::NodeId entry = maps.back().first, exit = maps.back().second;
+    for (std::size_t s = 0; s + 1 < maps.size(); ++s) {
+        st.add_edge(maps[s].first, "", maps[s + 1].first, "",
+                    ir::Memlet(in_name, ir::Subset::full(in_shape)));
+        st.add_edge(maps[s + 1].second, "", maps[s].second, "",
+                    ir::Memlet(out_name, ir::Subset::full(out_shape)));
+        if (two_outputs)
+            st.add_edge(maps[s + 1].second, "", maps[s].second, "",
+                        ir::Memlet(out2_name, ir::Subset::full(out_shape)));
+    }
+
     const ir::NodeId t = st.add_tasklet("t" + std::to_string(stage), code);
     const ir::NodeId out_acc = st.add_access(out_name);
-    st.add_edge(in_access, "", entry, "",
+    st.add_edge(in_access, "", maps.front().first, "",
                 ir::Memlet(in_name, ir::Subset::full(in_shape)));
     ir::Subset in_point, in_window, out_point;
     for (std::size_t d = 0; d < rank; ++d) {
@@ -502,9 +553,11 @@ ir::NodeId random_stage(common::Rng& rng, RandomProgram& rp, ir::State& st, ir::
             out2_point.ranges.push_back(ir::Range::index(out2_idx[d]));
         const ir::NodeId out2_acc = st.add_access(out2_name);
         st.add_edge(t, "q", exit, "", ir::Memlet(out2_name, out2_point));
-        st.add_edge(exit, "", out2_acc, "", ir::Memlet(out2_name, ir::Subset::full(out_shape)));
+        st.add_edge(maps.front().second, "", out2_acc, "",
+                    ir::Memlet(out2_name, ir::Subset::full(out_shape)));
     }
-    st.add_edge(exit, "", out_acc, "", ir::Memlet(out_name, ir::Subset::full(out_shape)));
+    st.add_edge(maps.front().second, "", out_acc, "",
+                ir::Memlet(out_name, ir::Subset::full(out_shape)));
     return out_acc;
 }
 
@@ -562,9 +615,26 @@ void expect_context_equal(const interp::Context& a, const interp::Context& b,
     }
 }
 
+/// The plan `plans` holds for `state` of `p`, built by an earlier run.
+std::shared_ptr<const interp::StatePlan> built_plan(const interp::PlanCachePtr& plans,
+                                                    const ir::SDFG& p, const ir::State& state) {
+    return plans->get_or_build(interp::PlanKey{p.plan_uid(), p.mutation_epoch(), &state},
+                               []() -> interp::StatePlan {
+                                   throw std::logic_error("state never planned");
+                               });
+}
+
+/// Whether some scope of `p`'s states carries a kernel spanning a nest.
+bool fuses_a_nest(const interp::PlanCachePtr& plans, const ir::SDFG& p) {
+    for (const ir::StateId sid : p.states())
+        for (const interp::ScopeKernel& k : built_plan(plans, p, p.state(sid))->kernels)
+            if (!k.chain.empty()) return true;
+    return false;
+}
+
 TEST(SpecializationProperty, AllTiersAgreeOn420Programs) {
     int crashes = 0, kernels = 0, f64s = 0, i64s = 0, segments = 0;
-    int window_kernels = 0, tiled_kernels = 0;
+    int window_kernels = 0, tiled_kernels = 0, nest_kernels = 0;
     for (std::uint64_t seed = 0; seed < 420; ++seed) {
         const RandomProgram rp = make_random_program(0xC0FFEE00ULL + seed);
 
@@ -589,6 +659,8 @@ TEST(SpecializationProperty, AllTiersAgreeOn420Programs) {
         segments += static_cast<int>(spec.stats.segment_launches);
         window_kernels += rp.windows && spec.stats.kernel_launches > 0 ? 1 : 0;
         tiled_kernels += rp.tiles && spec.stats.kernel_launches > 0 ? 1 : 0;
+        nest_kernels +=
+            rp.nests && spec.stats.kernel_launches > 0 && fuses_a_nest(spec.plans, rp.p) ? 1 : 0;
     }
     // The generator must actually exercise every tier.
     EXPECT_GT(kernels, 50) << "flat-stride kernels barely exercised";
@@ -597,6 +669,7 @@ TEST(SpecializationProperty, AllTiersAgreeOn420Programs) {
     EXPECT_GT(segments, 20) << "column-width untagged VM barely exercised";
     EXPECT_GT(window_kernels, 20) << "window lanes barely exercised";
     EXPECT_GT(tiled_kernels, 20) << "kernel levels under tile parameters barely exercised";
+    EXPECT_GT(nest_kernels, 20) << "kernels spanning perfect nests barely exercised";
     EXPECT_GT(crashes, 5) << "crash paths barely exercised";
     EXPECT_LT(crashes, 300) << "generator crashes too often to test value paths";
 }
@@ -772,22 +845,353 @@ TEST(KernelFixtures, TiledNestLaunchesPerTileAndChargesFuelPerTile) {
     ff::testing::expect_same(exact, spec, "budget-at-limit vs unbudgeted");
 }
 
+// --- Perfect-nest fixtures -----------------------------------------------------
+//
+// A pure scope whose only child is another map scope, recursively, carries
+// one kernel over the whole nest: it launches once per point of the owner's
+// levels above `first`, charges every scope's points itself, and the chain
+// scopes keep their own kernels for launches that fall back.
+
+/// Random inputs for every non-transient container of `p` at `symbols`.
+interp::Context random_inputs(const ir::SDFG& p, const sym::Bindings& symbols,
+                              std::uint64_t seed) {
+    common::Rng rng(seed);
+    interp::Context ctx;
+    ctx.symbols = symbols;
+    for (const auto& [name, desc] : p.containers())
+        if (!desc.transient)
+            ctx.buffers.emplace(name,
+                                random_buffer(rng, desc.dtype, desc.concrete_shape(symbols)));
+    return ctx;
+}
+
+/// The npbench kernel `name`, with MapExpansion applied to its map
+/// labelled `expand` unless that is empty.
+ir::SDFG npbench_program(const std::string& name, const std::string& expand = "") {
+    ir::SDFG p = workloads::build_npbench_kernel(name);
+    if (expand.empty()) return p;
+    xform::MapExpansion expansion;
+    for (const xform::Match& m : expansion.find_matches(p))
+        if (m.description.find("'" + expand + "'") != std::string::npos) {
+            expansion.apply(p, m);
+            return p;
+        }
+    ADD_FAILURE() << "no MapExpansion of '" << expand << "' in " << name;
+    return p;
+}
+
+/// The kernel of the scope labelled `label` in the first state of `p`
+/// (nullptr when that scope stays generic).
+const interp::ScopeKernel* kernel_of(const TierOut& run, const ir::SDFG& p,
+                                     const std::string& label) {
+    const auto plan = built_plan(run.plans, p, p.state(p.start_state()));
+    for (const interp::ScopePlan& sp : plan->scope_plans)
+        if (sp.label == label)
+            return sp.kernel < 0 ? nullptr : &plan->kernels[static_cast<std::size_t>(sp.kernel)];
+    ADD_FAILURE() << "no scope '" << label << "'";
+    return nullptr;
+}
+
+/// One scope of a synthetic nest.
+struct NestScope {
+    std::vector<std::string> params;
+    std::vector<ir::Range> ranges;
+};
+
+/// y[out] = y[out] + 0.5 * x[in] over a perfect nest of `scopes`, outermost
+/// first (labels m0, m1, ...), wired like the npbench accumulation nests;
+/// x and y are 8 x 8 f64.
+ir::SDFG make_nest_sdfg(const std::vector<NestScope>& scopes, const ir::Subset& in,
+                        const ir::Subset& out, const std::vector<std::string>& symbols = {}) {
+    ir::SDFG p("nest");
+    for (const std::string& s : symbols) p.add_symbol(s);
+    const std::vector<sym::ExprPtr> shape{sym::cst(8), sym::cst(8)};
+    const ir::Subset full = ir::Subset::full(shape);
+    p.add_array("x", ir::DType::F64, shape);
+    p.add_array("y", ir::DType::F64, shape);
+    ir::State& st = p.state(p.add_state("main", true));
+    ir::NodeId x = st.add_access("x"), y = st.add_access("y");
+    std::vector<std::pair<ir::NodeId, ir::NodeId>> maps;
+    for (std::size_t s = 0; s < scopes.size(); ++s)
+        maps.push_back(st.add_map("m" + std::to_string(s), scopes[s].params, scopes[s].ranges));
+    for (const auto& [entry, exit] : maps) {
+        st.add_edge(x, "", entry, "", ir::Memlet("x", full));
+        st.add_edge(y, "", entry, "", ir::Memlet("y", full));
+        x = y = entry;
+    }
+    const ir::NodeId t = st.add_tasklet("t", "cout = cin + a * 0.5");
+    st.add_edge(x, "", t, "a", ir::Memlet("x", in));
+    st.add_edge(y, "", t, "cin", ir::Memlet("y", out));
+    st.add_edge(t, "cout", maps.back().second, "", ir::Memlet("y", out));
+    for (std::size_t s = maps.size() - 1; s > 0; --s)
+        st.add_edge(maps[s].second, "", maps[s - 1].second, "", ir::Memlet("y", full));
+    st.add_edge(maps.front().second, "", st.add_access("y"), "", ir::Memlet("y", full));
+    return p;
+}
+
+interp::Context nest_inputs(const sym::Bindings& symbols = {}) {
+    common::Rng rng(0x5eed);
+    interp::Context ctx;
+    ctx.symbols = symbols;
+    ctx.buffers.emplace("x", random_buffer(rng, ir::DType::F64, {8, 8}));
+    ctx.buffers.emplace("y", random_buffer(rng, ir::DType::F64, {8, 8}));
+    return ctx;
+}
+
+/// x[i, l] into y[i, 0] over (i in [0, 3]) around (l in `red`).
+ir::SDFG make_row_sum_sdfg(const ir::Range& red, const std::vector<std::string>& symbols = {}) {
+    const sym::ExprPtr i = sym::symb("i"), l = sym::symb("l");
+    return make_nest_sdfg({{{"i"}, {ir::Range::full(sym::cst(4))}}, {{"l"}, {red}}},
+                          ir::Subset{{ir::Range::index(i), ir::Range::index(l)}},
+                          ir::Subset{{ir::Range::index(i), ir::Range::index(sym::cst(0))}},
+                          symbols);
+}
+
+TEST(NestFixtures, DoitgenNestLaunchesOnce) {
+    // Parallel (i, j, k) around the sequential l reduction: one launch spans
+    // all four levels, where the reduction scope alone would launch once per
+    // (i, j, k).
+    const ir::SDFG p = npbench_program("doitgen");
+    const TierOut spec =
+        expect_all_tiers_agree(p, random_inputs(p, {{"N", 5}, {"M", 4}}, 1), "doitgen");
+    ASSERT_TRUE(spec.res.ok()) << spec.res.message;
+    const interp::ScopeKernel* k = kernel_of(spec, p, "doitgen");
+    ASSERT_NE(k, nullptr);
+    EXPECT_EQ(k->first, 0u);
+    EXPECT_EQ(k->chain.size(), 1u);
+    EXPECT_EQ(spec.stats.scopes_planned, 3);
+    EXPECT_EQ(spec.stats.scopes_specialized, 3);  // zero init, nest owner, chain
+    EXPECT_EQ(spec.stats.kernel_launches, 2);     // zero init + the nest
+    EXPECT_EQ(spec.stats.kernel_fallbacks, 0);
+    EXPECT_EQ(spec.res.points, 100 + 100 + 400);  // zero init, owner, chain
+}
+
+TEST(NestFixtures, MapExpansionChainOfThreeLaunchesOnce) {
+    // (i) around (j, k) around (l): the owner's kernel spans both chain
+    // scopes, and the middle scope owns a nest of its own.
+    const ir::SDFG p = npbench_program("doitgen", "doitgen");
+    const TierOut spec =
+        expect_all_tiers_agree(p, random_inputs(p, {{"N", 5}, {"M", 4}}, 2), "doitgen chain");
+    ASSERT_TRUE(spec.res.ok()) << spec.res.message;
+    const interp::ScopeKernel* k = kernel_of(spec, p, "doitgen_outer");
+    ASSERT_NE(k, nullptr);
+    EXPECT_EQ(k->first, 0u);
+    EXPECT_EQ(k->chain.size(), 2u);
+    EXPECT_EQ(spec.stats.scopes_specialized, 4);
+    EXPECT_EQ(spec.stats.kernel_launches, 2);
+    EXPECT_EQ(spec.stats.kernel_fallbacks, 0);
+    EXPECT_EQ(spec.res.points, 100 + 5 + 100 + 400);
+}
+
+TEST(NestFixtures, TriangularChainRangeMovesFirst) {
+    // trmm: (i, j) around k in [i, N - 1].  The chain range reads i, so the
+    // kernel covers (j, k) and launches once per i.
+    const ir::SDFG p = npbench_program("trmm");
+    const TierOut spec = expect_all_tiers_agree(p, random_inputs(p, {{"N", 6}}, 3), "trmm");
+    ASSERT_TRUE(spec.res.ok()) << spec.res.message;
+    const interp::ScopeKernel* k = kernel_of(spec, p, "trmm");
+    ASSERT_NE(k, nullptr);
+    EXPECT_EQ(k->first, 1u);
+    EXPECT_EQ(k->chain.size(), 1u);
+    EXPECT_EQ(spec.stats.kernel_launches, 1 + 6);  // zero init + one per i
+    EXPECT_EQ(spec.stats.kernel_fallbacks, 0);
+    EXPECT_EQ(spec.res.points, 36 + 36 + 6 * 21);  // chain: N * sum of (N - i)
+}
+
+TEST(NestFixtures, ChainReadingTheOwnersLastParameterChargesTheOwnersPoint) {
+    // MapExpansion of trmm: (i) around (j) around k in [i, N - 1].  The chain
+    // reads the owner's only parameter, so first equals the owner's
+    // parameter count: the launch stands where the odometer would charge
+    // the owner's point, and must charge it itself.
+    const ir::SDFG p = npbench_program("trmm", "trmm");
+    const TierOut spec =
+        expect_all_tiers_agree(p, random_inputs(p, {{"N", 6}}, 4), "trmm chain");
+    ASSERT_TRUE(spec.res.ok()) << spec.res.message;
+    const interp::ScopeKernel* k = kernel_of(spec, p, "trmm_outer");
+    ASSERT_NE(k, nullptr);
+    EXPECT_EQ(k->first, 1u);
+    EXPECT_EQ(k->chain.size(), 2u);
+    EXPECT_EQ(spec.stats.kernel_launches, 1 + 6);
+    EXPECT_EQ(spec.stats.kernel_fallbacks, 0);
+    EXPECT_EQ(spec.res.points, 36 + 6 + 36 + 6 * 21);
+
+    // The same shape with the owner's last of two parameters read.
+    const sym::ExprPtr i = sym::symb("i"), j = sym::symb("j"), l = sym::symb("l");
+    const ir::SDFG q = make_nest_sdfg(
+        {{{"i", "j"}, {ir::Range::full(sym::cst(3)), ir::Range::full(sym::cst(4))}},
+         {{"l"}, {ir::Range{sym::cst(0), j, sym::cst(1)}}}},
+        ir::Subset{{ir::Range::index(i + l), ir::Range::index(j)}},
+        ir::Subset{{ir::Range::index(i), ir::Range::index(j)}});
+    const TierOut nest = expect_all_tiers_agree(q, nest_inputs(), "l in [0, j]");
+    ASSERT_TRUE(nest.res.ok()) << nest.res.message;
+    ASSERT_NE(kernel_of(nest, q, "m0"), nullptr);
+    EXPECT_EQ(kernel_of(nest, q, "m0")->first, 2u);
+    EXPECT_EQ(nest.stats.kernel_launches, 12);       // one per (i, j)
+    EXPECT_EQ(nest.res.points, 12 + 3 * (1 + 2 + 3 + 4));
+}
+
+TEST(NestFixtures, EmptyChainLevelFallsBackToTheOdometer) {
+    // l in [1, i] is empty at i = 0: that launch falls back (the odometer
+    // charges the owner's point and runs the chain scope's own, empty,
+    // kernel) and the three others commit.
+    const ir::SDFG p = make_row_sum_sdfg(ir::Range{sym::cst(1), sym::symb("i"), sym::cst(1)});
+    const TierOut spec = expect_all_tiers_agree(p, nest_inputs(), "l in [1, i]");
+    ASSERT_TRUE(spec.res.ok()) << spec.res.message;
+    EXPECT_EQ(spec.stats.kernel_fallbacks, 1);
+    EXPECT_EQ(spec.stats.kernel_launches, 3 + 1);
+    EXPECT_EQ(spec.res.points, 4 + 0 + 1 + 2 + 3);
+
+    // Empty at every owner point: the one nest launch falls back.
+    const ir::SDFG q =
+        make_row_sum_sdfg(ir::Range::full(sym::symb("E")), std::vector<std::string>{"E"});
+    const TierOut empty = expect_all_tiers_agree(q, nest_inputs({{"E", 0}}), "l in [0, E - 1]");
+    ASSERT_TRUE(empty.res.ok()) << empty.res.message;
+    EXPECT_EQ(empty.stats.kernel_fallbacks, 1);
+    EXPECT_EQ(empty.stats.kernel_launches, 4);  // the chain's own, one per i
+    EXPECT_EQ(empty.res.points, 4);
+}
+
+TEST(NestFixtures, StepZeroChainLevelRaisesTheOdometersError) {
+    const ir::SDFG p = make_row_sum_sdfg(
+        ir::Range{sym::cst(0), sym::cst(3), sym::symb("S")}, std::vector<std::string>{"S"});
+    const TierOut spec = expect_all_tiers_agree(p, nest_inputs({{"S", 0}}), "step 0 chain");
+    EXPECT_EQ(spec.res.status, interp::ExecStatus::Crash);
+    EXPECT_EQ(spec.res.message, "map 'm1' has step 0");
+    EXPECT_EQ(spec.stats.kernel_fallbacks, 1);
+    EXPECT_EQ(spec.stats.kernel_launches, 0);
+}
+
+TEST(NestFixtures, ChainParametersAreRestoredAfterTheLaunch) {
+    // A later map reads the free symbol l, which the nest's chain scope
+    // shadows: once the nest is done it must see the outer binding again.
+    ir::SDFG p = make_row_sum_sdfg(ir::Range::full(sym::cst(4)), std::vector<std::string>{"l"});
+    ir::State& st = p.state(p.start_state());
+    ir::NodeId y = graph::kInvalidNode;
+    for (const ir::NodeId n : st.graph().nodes())
+        if (st.graph().node(n).kind == ir::NodeKind::Access && st.graph().node(n).data == "y" &&
+            !st.graph().in_edges(n).empty())
+            y = n;
+    p.add_array("z", ir::DType::F64, {sym::cst(8)});
+    auto [entry, exit] = st.add_map("after", {"i"}, {ir::Range::full(sym::cst(4))});
+    const ir::NodeId t = st.add_tasklet("t2", "o = v * 2.0");
+    st.add_edge(y, "", entry, "", ir::Memlet("y", ir::Subset::full({sym::cst(8), sym::cst(8)})));
+    st.add_edge(entry, "", t, "v",
+                ir::Memlet("y", ir::Subset{{ir::Range::index(sym::symb("l")),
+                                            ir::Range::index(sym::symb("i"))}}));
+    st.add_edge(t, "o", exit, "", ir::Memlet("z", ir::Subset{{ir::Range::index(sym::symb("i"))}}));
+    st.add_edge(exit, "", st.add_access("z"), "", ir::Memlet("z", ir::Subset::full({sym::cst(8)})));
+    const TierOut spec = expect_all_tiers_agree(p, nest_inputs({{"l", 5}}), "shadowed l");
+    ASSERT_TRUE(spec.res.ok()) << spec.res.message;
+    EXPECT_EQ(spec.stats.kernel_launches, 2);  // the nest, then "after"
+    EXPECT_EQ(spec.ctx.buffers.at("z").load_double(1),
+              2.0 * spec.ctx.buffers.at("y").load_double(5 * 8 + 1));
+}
+
+TEST(NestFixtures, BudgetExhaustedMidNestBlamesTheSameLimit) {
+    // doitgen at N = 5, M = 4 charges 100 (zero init) + 500 (the nest)
+    // points.  Under 350 the zero init commits and the nest launch, which
+    // pre-charges its 500, is refused whole, where the odometer tiers run
+    // into the limit mid-nest (coarser partial effects by design, see
+    // ExecResult); every tier blames the same limit.
+    const ir::SDFG p = npbench_program("doitgen");
+    const interp::Context inputs = random_inputs(p, {{"N", 5}, {"M", 4}}, 5);
+    const TierOut starved = run_cfg(p, inputs, true, true, /*max_points=*/350);
+    EXPECT_EQ(starved.res.status, interp::ExecStatus::Resource);
+    EXPECT_EQ(starved.stats.kernel_launches, 1);
+    EXPECT_EQ(starved.stats.kernel_fallbacks, 0);
+    for (const bool compiled : {true, false}) {
+        const TierOut other = run_cfg(p, inputs, compiled, false, 350);
+        EXPECT_EQ(other.res.status, starved.res.status);
+        EXPECT_EQ(other.res.message, starved.res.message);
+    }
+    // Exactly at the boundary the budget is unobservable, bytes included.
+    const TierOut exact = expect_all_tiers_agree(p, inputs, "budget exact", /*max_points=*/600);
+    ASSERT_TRUE(exact.res.ok()) << exact.res.message;
+    ff::testing::expect_same(exact, run_cfg(p, inputs, true, true),
+                             "budget-at-limit vs unbudgeted");
+}
+
+/// The def-use coverage bitmap of one run on one tier.
+std::vector<std::uint64_t> coverage_bitmap(const ir::SDFG& p, const interp::Context& inputs,
+                                           bool compiled, bool specialize) {
+    interp::ExecConfig cfg;
+    cfg.use_compiled_tasklets = compiled;
+    cfg.specialize = specialize;
+    cfg.coverage = true;
+    interp::Interpreter interp(cfg);
+    feedback::CoverageMap map;
+    map.reset(interp.plan_cache()->atlas_for(p)->pair_count());
+    interp.set_coverage(&map);
+    interp::Context ctx = inputs;
+    const interp::ExecResult r = interp.run(p, ctx);
+    EXPECT_TRUE(r.ok()) << r.message;
+    return map.words();
+}
+
+TEST(NestFixtures, CoverageBitmapsAreByteIdenticalAcrossTiers) {
+    // Nest launches mark each chain scope's region class per launch; the
+    // classes vary per launch in trmm (k spans N - i points) and include the
+    // empty class where a chain level is empty.
+    const ir::SDFG doitgen = npbench_program("doitgen", "doitgen");
+    const ir::SDFG trmm = npbench_program("trmm", "trmm");
+    const ir::SDFG rows = make_row_sum_sdfg(ir::Range{sym::cst(1), sym::symb("i"), sym::cst(1)});
+    const std::pair<const ir::SDFG*, interp::Context> cases[] = {
+        {&doitgen, random_inputs(doitgen, {{"N", 5}, {"M", 4}}, 6)},
+        {&trmm, random_inputs(trmm, {{"N", 20}}, 7)},
+        {&rows, nest_inputs()},
+    };
+    for (const auto& [p, inputs] : cases) {
+        const auto spec = coverage_bitmap(*p, inputs, true, true);
+        EXPECT_EQ(spec, coverage_bitmap(*p, inputs, true, false)) << p->name();
+        EXPECT_EQ(spec, coverage_bitmap(*p, inputs, false, false)) << p->name();
+        feedback::CoverageMap map;
+        map.reset(static_cast<std::uint32_t>(spec.size() * 64));
+        EXPECT_TRUE(map.absorb(spec)) << p->name() << ": nothing marked";
+    }
+}
+
 // --- Classification guard on the real suite ----------------------------------
 //
-// Tiled reductions and stencil windows are most of suite_correct's trial
-// time; if their transformed cutouts silently fell back to the generic
-// odometer, every test above would still pass and audits would slow down by
-// about a third.  Each transformed cutout below must give every innermost
-// map scope a kernel, and every launch must commit.
+// Accumulation nests, tiled reductions and stencil windows are most of
+// suite_correct's trial time.  If their cutouts silently fell back to the
+// generic odometer, or to one launch per outer point, every test above would
+// still pass and audits would slow down by a quarter or more.  In each
+// cutout below, every top-level scope tree must carry one kernel from its
+// outermost scope (the nest owner) down to its leaf, every launch must
+// commit, and the run must launch exactly once per point of the levels
+// above each kernel.
 
 struct GuardCase {
     const char* kernel;
     const char* transformation;
-    const char* map;  ///< Label of the matched map.
+    const char* map;          ///< Label of the matched map.
+    bool transformed = true;  ///< false: the instance's original cutout.
+    /// The matched map is a tiled reduction: its range reads its own tile
+    /// parameter, which would put `first` inside the chain, so the nest's
+    /// kernel starts at the matched map instead of the tree's root.
+    bool tiled_chain = false;
 };
 
-void expect_innermost_scopes_kernelized(const GuardCase& gc) {
-    const std::string what = std::string(gc.kernel) + " " + gc.transformation + " '" + gc.map + "'";
+/// Points of `levels` [0, n) (each a parameter and its range, outermost
+/// first) under `symbols`, enumerated like the odometer.
+std::int64_t count_points(const std::vector<std::pair<std::string, ir::Range>>& levels,
+                          std::size_t n, sym::Bindings symbols, std::size_t level = 0) {
+    if (level == n) return 1;
+    const auto& [name, r] = levels[level];
+    const std::int64_t begin = r.begin->evaluate(symbols);
+    const std::int64_t end = r.end->evaluate(symbols);
+    const std::int64_t step = r.step->evaluate(symbols);
+    std::int64_t total = 0;
+    for (std::int64_t v = begin; step > 0 ? v <= end : v >= end; v += step) {
+        symbols[name] = v;
+        total += count_points(levels, n, symbols, level + 1);
+    }
+    return total;
+}
+
+void expect_nests_kernelized(const GuardCase& gc) {
+    const std::string what = std::string(gc.kernel) + " " + gc.transformation + " '" + gc.map +
+                             "'" + (gc.transformed ? "" : " (original)");
     const ir::SDFG p = workloads::build_npbench_kernel(gc.kernel);
     for (const auto& t : xform::builtin_transformations({.table2_bugs = false})) {
         if (t->name() != gc.transformation) continue;
@@ -796,29 +1200,55 @@ void expect_innermost_scopes_kernelized(const GuardCase& gc) {
             core::CutoutOptions opts;
             opts.defaults = workloads::npbench_defaults();
             const core::Cutout cutout = core::extract_cutout(p, t->affected_nodes(p, m), opts);
-            ir::SDFG transformed = cutout.program;
-            t->apply(transformed, cutout.remap_match(m));
+            ir::SDFG program = cutout.program;
+            if (gc.transformed) t->apply(program, cutout.remap_match(m));
 
-            std::int64_t innermost = 0;
-            for (const ir::StateId sid : transformed.states()) {
-                const ir::State& st = transformed.state(sid);
-                for (const ir::NodeId n : st.graph().nodes()) {
-                    if (st.graph().node(n).kind != ir::NodeKind::MapEntry) continue;
-                    bool nests = false;
-                    for (const ir::NodeId c : st.scope_nodes(n))
-                        nests |= c != n && st.graph().node(c).kind == ir::NodeKind::MapEntry;
-                    innermost += nests ? 0 : 1;
-                }
-            }
             interp::Interpreter interp;
             interp::Context ctx;
             ctx.symbols = opts.defaults;
-            const interp::ExecResult r = interp.run(transformed, ctx);
+            const interp::ExecResult r = interp.run(program, ctx);
             ASSERT_TRUE(r.ok()) << what << ": " << r.message;
+            ASSERT_EQ(program.states().size(), 1u) << what;
+            const ir::State& st = program.state(program.start_state());
+            const auto plan = built_plan(interp.plan_cache(), program, st);
+
+            std::int64_t trees = 0, launches = 0;
+            for (const ir::NodeId root : plan->top_level) {
+                if (st.graph().node(root).kind != ir::NodeKind::MapEntry) continue;
+                ++trees;
+                // The tree's perfect-nest chain, outermost first, and the
+                // scope whose kernel should span it.
+                std::vector<ir::NodeId> chain{root};
+                std::size_t owner = 0;
+                for (;;) {
+                    const interp::ScopePlan& sp = plan->scope_of(chain.back());
+                    if (gc.tiled_chain && sp.label == gc.map) owner = chain.size() - 1;
+                    if (sp.children.size() != 1 ||
+                        st.graph().node(sp.children[0]).kind != ir::NodeKind::MapEntry)
+                        break;
+                    chain.push_back(sp.children[0]);
+                }
+                for (std::size_t c = 0; c < owner; ++c)
+                    EXPECT_LT(plan->scope_of(chain[c]).kernel, 0)
+                        << what << ": '" << plan->scope_of(chain[c]).label
+                        << "' cannot span a tiled chain";
+                const interp::ScopePlan& sp = plan->scope_of(chain[owner]);
+                ASSERT_GE(sp.kernel, 0) << what << ": no kernel on '" << sp.label << "'";
+                const interp::ScopeKernel& k = plan->kernels[static_cast<std::size_t>(sp.kernel)];
+                EXPECT_EQ(k.chain.size(), chain.size() - owner - 1)
+                    << what << ": the kernel of '" << sp.label << "' stops short of the leaf";
+                std::vector<std::pair<std::string, ir::Range>> levels;
+                for (std::size_t c = 0; c <= owner; ++c) {
+                    const ir::DataflowNode& entry = st.graph().node(chain[c]);
+                    for (std::size_t q = 0; q < entry.params.size(); ++q)
+                        levels.emplace_back(entry.params[q], entry.map_ranges[q]);
+                }
+                launches += count_points(levels, levels.size() - sp.params.size() + k.first,
+                                         ctx.symbols);
+            }
             const interp::SpecStats stats = interp.plan_cache()->spec_stats();
-            EXPECT_GT(innermost, 0) << what;
-            EXPECT_EQ(stats.scopes_specialized, innermost) << what;
-            EXPECT_GT(stats.kernel_launches, 0) << what;
+            EXPECT_GT(trees, 0) << what;
+            EXPECT_EQ(stats.kernel_launches, launches) << what;
             EXPECT_EQ(stats.kernel_fallbacks, 0) << what;
             return;
         }
@@ -826,15 +1256,27 @@ void expect_innermost_scopes_kernelized(const GuardCase& gc) {
     ADD_FAILURE() << what << ": no such instance";
 }
 
+TEST(ClassificationGuard, AccumulationNestsLaunchOncePerPointAboveFirst) {
+    // Original cutouts, MapExpansion's chains and outer MapTiling (whose
+    // tile levels stay above the kernel).
+    for (const auto& [kernel, map] : {std::pair{"doitgen", "doitgen"}, std::pair{"3mm", "mm1"},
+                                      std::pair{"mlp", "fc1"}, std::pair{"trmm", "trmm"}}) {
+        expect_nests_kernelized(GuardCase{kernel, "MapExpansion", map, /*transformed=*/false});
+        expect_nests_kernelized(GuardCase{kernel, "MapExpansion", map});
+        expect_nests_kernelized(GuardCase{kernel, "MapTiling", map});
+    }
+}
+
 TEST(ClassificationGuard, TiledReductionsAndStencilsCarryKernels) {
-    for (const GuardCase& gc : {GuardCase{"doitgen", "MapTiling", "doitgen_red"},
-                                GuardCase{"3mm", "MapTiling", "mm3_k"},
-                                GuardCase{"heat_3d", "MapTiling", "heat3d"},
-                                GuardCase{"heat_3d", "MapExpansion", "heat3d"},
-                                GuardCase{"jacobi_2d", "MapTiling", "jacobi2d"},
-                                GuardCase{"hdiff", "MapTiling", "laplacian"},
-                                GuardCase{"hdiff", "MapTiling", "flux"}})
-        expect_innermost_scopes_kernelized(gc);
+    for (const GuardCase& gc :
+         {GuardCase{"doitgen", "MapTiling", "doitgen_red", true, /*tiled_chain=*/true},
+          GuardCase{"3mm", "MapTiling", "mm3_k", true, /*tiled_chain=*/true},
+          GuardCase{"heat_3d", "MapTiling", "heat3d"},
+          GuardCase{"heat_3d", "MapExpansion", "heat3d"},
+          GuardCase{"jacobi_2d", "MapTiling", "jacobi2d"},
+          GuardCase{"hdiff", "MapTiling", "laplacian"},
+          GuardCase{"hdiff", "MapTiling", "flux"}})
+        expect_nests_kernelized(gc);
 }
 
 // --- Fuzzer-level toggle determinism ----------------------------------------
