@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "common/json.h"
+
 namespace ff::common {
 
 namespace {
@@ -22,6 +24,8 @@ const std::array<std::uint32_t, 256>& crc_table() {
     }();
     return table;
 }
+
+constexpr std::size_t kCrcSuffixBytes = 18;  // strlen(",\"crc\":\"xxxxxxxx\"}")
 
 }  // namespace
 
@@ -62,6 +66,25 @@ bool crc32c_parse(std::string_view hex, std::uint32_t& out) {
     }
     out = value;
     return true;
+}
+
+std::string checksummed_line(const Json& j) {
+    std::string dump = j.dump();
+    const std::uint32_t crc = crc32c(dump);
+    dump.insert(dump.size() - 1, ",\"crc\":\"" + crc32c_hex(crc) + "\"");
+    dump += '\n';
+    return dump;
+}
+
+LineCrc verify_line_crc(std::string_view line) {
+    if (line.size() < kCrcSuffixBytes + 2 || line.back() != '}') return LineCrc::Missing;
+    const std::string_view tail = line.substr(line.size() - kCrcSuffixBytes);
+    if (tail.substr(0, 8) != ",\"crc\":\"" || tail[16] != '"') return LineCrc::Missing;
+    std::uint32_t stored = 0;
+    if (!crc32c_parse(tail.substr(8, 8), stored)) return LineCrc::Bad;
+    std::string covered(line.substr(0, line.size() - kCrcSuffixBytes));
+    covered += '}';
+    return crc32c(covered) == stored ? LineCrc::Ok : LineCrc::Bad;
 }
 
 }  // namespace ff::common

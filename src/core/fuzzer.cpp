@@ -25,7 +25,7 @@ std::size_t count_dataflow_nodes(const ir::SDFG& sdfg) {
 }
 
 /// Resolves the config's implication chain (feedback => coverage =>
-/// instrumented interpreters) once, so prepare, the tester cache and the
+/// instrumented interpreters) once, so prepare, the worker testers and the
 /// per-instance feedback state all see the same effective settings.
 FuzzConfig normalized_config(FuzzConfig config) {
     if (config.feedback) config.coverage = true;
@@ -47,10 +47,13 @@ int resolve_thread_count(int requested, std::int64_t available_units) {
 /// everything trial execution writes.  Pinned in a deque (atomics make it
 /// immovable; workers index it concurrently).
 struct InstanceJob {
-    std::size_t index = 0;      ///< Position in the audit (= plan-cache key).
+    std::size_t index = 0;      ///< Position in the audit.
     FuzzReport report;          ///< Filled by prepare, merged by finalize.
     Cutout cutout;              ///< Extracted (possibly min-cut) cutout.
     ir::SDFG transformed;       ///< Cutout with the transformation applied.
+    /// Compiled plans + tasklet bytecode of this instance, shared by every
+    /// worker tester bound to it; lives as long as the prepared audit.
+    interp::PlanCachePtr plans;
     Constraints constraints;    ///< Gray-box sampling constraints.
     InputSampler sampler;       ///< Deterministic (seed, trial) input source.
     ValidationResult validation;  ///< Of `transformed`, computed once.
@@ -141,13 +144,6 @@ public:
         return stop_[instance].load(std::memory_order_acquire);
     }
 
-    /// Instance the cursor currently points into: all lower instances are
-    /// fully claimed (workers retire their plan caches past this watermark).
-    int cursor_instance() const {
-        if (max_trials_ == 0) return 0;
-        return static_cast<int>(next_.load(std::memory_order_acquire) / max_trials_);
-    }
-
     /// Stops all further claims (a worker raised).
     void abort() { aborted_.store(true, std::memory_order_release); }
 
@@ -164,20 +160,25 @@ private:
     std::vector<std::atomic<int>> stop_;  // per-instance early-stop index
 };
 
+/// One worker's execution context, kept across run_range calls: built on
+/// the slot's first claim, rebound only when a claim belongs to a different
+/// instance than the current binding.
+struct WorkerSlot {
+    std::unique_ptr<DifferentialTester> tester;
+    std::size_t instance = 0;  ///< Current binding (valid once tester is set).
+};
+
 /// Everything the worker pool shares for one run.
 struct PoolShared {
-    PoolShared(std::deque<InstanceJob>& j, AuditScheduler& s, TesterCache& c,
-               interp::PlanCacheRegistry& r)
-        : jobs(j), scheduler(s), cache(c), registry(r) {}
+    PoolShared(std::deque<InstanceJob>& j, AuditScheduler& s) : jobs(j), scheduler(s) {}
 
     std::deque<InstanceJob>& jobs;
     AuditScheduler& scheduler;
-    TesterCache& cache;
-    interp::PlanCacheRegistry& registry;
     std::chrono::steady_clock::time_point epoch{};
-    std::atomic<int> retire_watermark{0};
     std::atomic<std::int64_t> units{0};
     std::atomic<std::int64_t> claims{0};
+    std::atomic<int> contexts_built{0};
+    std::atomic<int> context_rebinds{0};
     std::exception_ptr error;
     std::mutex error_mutex;
 };
@@ -197,22 +198,6 @@ void atomic_store_min(std::atomic<std::int64_t>& a, std::int64_t v) {
 void atomic_store_max(std::atomic<std::int64_t>& a, std::int64_t v) {
     std::int64_t cur = a.load(std::memory_order_relaxed);
     while (v > cur && !a.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-    }
-}
-
-/// Retires the plan caches of every instance below the scheduler cursor:
-/// once the cursor is past an instance, no new claims (and thus no new
-/// context binds) for it can occur, so its compiled artifacts are only kept
-/// alive by in-flight stragglers and the bounded registry/context caches.
-void advance_retire_watermark(PoolShared& sh, int cursor_instance) {
-    int w = sh.retire_watermark.load(std::memory_order_acquire);
-    while (w < cursor_instance) {
-        if (sh.retire_watermark.compare_exchange_weak(w, cursor_instance,
-                                                      std::memory_order_acq_rel)) {
-            for (int i = w; i < cursor_instance; ++i)
-                sh.registry.retire(static_cast<std::uint64_t>(i));
-            return;
-        }
     }
 }
 
@@ -259,38 +244,34 @@ void run_unit(InstanceJob& job, int trial, DifferentialTester& tester,
 }
 
 /// One worker of the audit-wide pool: claims unit chunks off the global
-/// queue, lazily (re)binding its execution context when the chunk belongs to
-/// a different instance than the previous one.
-void run_worker(PoolShared& sh) {
-    std::unique_ptr<DifferentialTester> tester;
-    std::size_t bound_instance = std::numeric_limits<std::size_t>::max();
+/// queue, (re)binding its slot's tester when the chunk belongs to a
+/// different instance than the slot's current binding.
+void run_worker(PoolShared& sh, const DiffConfig& diff, WorkerSlot& slot) {
     try {
         AuditScheduler::Claim c;
         while (sh.scheduler.claim(c)) {
             sh.claims.fetch_add(1, std::memory_order_relaxed);
-            // Retire only instances strictly below the claimed one — the
-            // cursor may already be past c.instance (this claim could be its
-            // last), and retiring it before binding would evict the very
-            // plan cache the bind below is about to acquire.
-            advance_retire_watermark(sh, c.instance);
             InstanceJob& job = sh.jobs[static_cast<std::size_t>(c.instance)];
             // Stamp before the context (re)bind so plan building counts
             // toward the instance's trial-phase wall clock.
             atomic_store_min(job.first_ns, ns_since(sh.epoch));
-            if (static_cast<std::size_t>(c.instance) != bound_instance) {
-                if (tester) sh.cache.release(std::move(tester), bound_instance);
-                tester = sh.cache.acquire(job.index, [&job, &sh](DifferentialTester& t) {
-                    t.bind(job.cutout.program, job.transformed, job.cutout.system_state,
-                           sh.registry.acquire(job.index), &job.validation);
-                });
-                bound_instance = static_cast<std::size_t>(c.instance);
+            if (!slot.tester || slot.instance != job.index) {
+                if (slot.tester) {
+                    sh.context_rebinds.fetch_add(1, std::memory_order_relaxed);
+                } else {
+                    slot.tester = std::make_unique<DifferentialTester>(diff);
+                    sh.contexts_built.fetch_add(1, std::memory_order_relaxed);
+                }
+                slot.tester->bind(job.cutout.program, job.transformed, job.cutout.system_state,
+                                  job.plans, &job.validation);
+                slot.instance = job.index;
             }
             for (int trial = c.first; trial < c.first + c.count; ++trial) {
                 // A failure below this chunk (or another worker's abort)
                 // may have landed meanwhile; the remaining trials' records
                 // would never be read.
                 if (sh.scheduler.aborted() || trial > sh.scheduler.stop_at(job.index)) break;
-                run_unit(job, trial, *tester, sh.scheduler);
+                run_unit(job, trial, *slot.tester, sh.scheduler);
                 sh.units.fetch_add(1, std::memory_order_relaxed);
             }
             atomic_store_max(job.last_ns, ns_since(sh.epoch));
@@ -300,7 +281,6 @@ void run_worker(PoolShared& sh) {
         if (!sh.error) sh.error = std::current_exception();
         sh.scheduler.abort();
     }
-    if (tester) sh.cache.release(std::move(tester), bound_instance);
 }
 
 /// Steps 1-4 of the pipeline for one instance: isolation, extraction,
@@ -357,6 +337,7 @@ void prepare_instance(const FuzzConfig& config, const ir::SDFG& p,
     job.constraints = derive_constraints(p, job.cutout.program);
     job.sampler = InputSampler(config.sampler);
     job.validation = ValidationResult::of(job.transformed);
+    job.plans = std::make_shared<interp::PlanCache>();
     job.records.resize(static_cast<std::size_t>(std::max(config.max_trials, 0)));
     if (config.feedback) {
         // The feedback state captures references into this job (pinned in
@@ -417,15 +398,14 @@ void finalize_instance(const FuzzConfig& config, InstanceJob& job) {
 
 }  // namespace
 
-/// Prepared jobs plus everything that persists across run_range calls: the
-/// bounded context/plan caches (so a chunked shard run reuses warm
-/// interpreters between checkpoints) and the accumulated scheduler stats.
+/// Prepared jobs plus everything that persists across run_range calls: one
+/// tester per worker slot (so a chunked shard run reuses warm interpreters
+/// between checkpoints) and the accumulated scheduler stats.
 struct PreparedAudit::Impl {
     FuzzConfig config;              ///< Captured at prepare time.
     std::deque<InstanceJob> jobs;   ///< Pinned (atomics make them immovable).
     SchedulerStats stats;           ///< Accumulated over run_range calls.
-    std::unique_ptr<interp::PlanCacheRegistry> registry;  ///< Lazily built.
-    std::unique_ptr<TesterCache> cache;                   ///< Lazily built.
+    std::vector<WorkerSlot> slots;  ///< One per worker, grown on demand.
     std::chrono::steady_clock::time_point epoch;  ///< Trial wall-clock base.
     /// Lowest known failing trial per instance (max_trials = none): seeds
     /// the scheduler's early-stop across run_range calls and set_record
@@ -470,43 +450,29 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end) {
     for (InstanceJob& job : jobs)
         if (job.runnable) job.report.threads = workers;
 
-    if (!registry)
-        registry = std::make_unique<interp::PlanCacheRegistry>(
-            static_cast<std::size_t>(std::max(config.plan_cache_bound, 0)));
-    if (!cache) {
-        const std::size_t context_bound =
-            config.context_cache_bound > 0 ? static_cast<std::size_t>(config.context_cache_bound)
-                                           : static_cast<std::size_t>(workers);
-        cache = std::make_unique<TesterCache>(context_bound, config.diff);
-    }
-    PoolShared sh{jobs, scheduler, *cache, *registry};
+    if (slots.size() < static_cast<std::size_t>(workers))
+        slots.resize(static_cast<std::size_t>(workers));
+    PoolShared sh{jobs, scheduler};
     sh.epoch = epoch;
 
     if (workers == 1) {
-        run_worker(sh);
+        run_worker(sh, config.diff, slots[0]);
     } else {
         std::vector<std::thread> pool;
         pool.reserve(static_cast<std::size_t>(workers));
-        for (int i = 0; i < workers; ++i) pool.emplace_back([&sh] { run_worker(sh); });
+        for (std::size_t i = 0; i < static_cast<std::size_t>(workers); ++i)
+            pool.emplace_back([&sh, this, i] { run_worker(sh, config.diff, slots[i]); });
         for (std::thread& t : pool) t.join();
     }
     if (sh.error) std::rethrow_exception(sh.error);
 
-    // Flush retires for instances the range has fully passed (stragglers,
-    // tail instances) so registry eviction counts are deterministic for a
-    // completed range.  Instances extending past `end` stay live: a later
-    // range (the next shard checkpoint chunk) will claim their units.
-    for (InstanceJob& job : jobs)
-        if (static_cast<std::int64_t>(job.index + 1) * mt <= end) registry->retire(job.index);
-    stats.spec = registry->spec_totals();
+    stats.spec = interp::SpecStats{};
+    for (const InstanceJob& job : jobs)
+        if (job.plans) stats.spec += job.plans->spec_stats();
     stats.units += sh.units.load(std::memory_order_relaxed);
     stats.claims += sh.claims.load(std::memory_order_relaxed);
-    const TesterCache::Stats cache_stats = cache->stats();
-    stats.contexts_built = cache_stats.built;
-    stats.context_hits = cache_stats.hits;
-    stats.context_rebinds = cache_stats.rebinds;
-    stats.context_evictions = cache_stats.evictions;
-    stats.plan_caches_evicted = static_cast<std::int64_t>(registry->evictions());
+    stats.contexts_built += sh.contexts_built.load(std::memory_order_relaxed);
+    stats.context_rebinds += sh.context_rebinds.load(std::memory_order_relaxed);
 
     note_failures(begin, end);
 }

@@ -3,12 +3,12 @@
 //
 // Execution model (see docs/ARCHITECTURE.md): audit() prepares every
 // transformation instance, then drains one global queue of (instance, trial)
-// units with a fixed pool of workers.  Workers lazily acquire a per-instance
-// execution context (two interpreters + scratch) from a bounded context
-// cache; per-instance plan caches are managed by a bounded registry.  Trial
-// inputs are a pure function of (seed, trial index) and per-instance results
-// are merged in canonical trial order, so reports are byte-identical at any
-// worker count.
+// units with a fixed pool of workers.  Each worker owns one execution
+// context (two interpreters + scratch), kept across run_range calls and
+// rebound whenever it claims a different instance; each instance owns one
+// plan cache shared by every worker bound to it.  Trial inputs are a pure
+// function of (seed, trial index) and per-instance results are merged in
+// canonical trial order, so reports are byte-identical at any worker count.
 #pragma once
 
 /// \file
@@ -53,17 +53,6 @@ struct FuzzConfig {
     /// per-trial claiming.  Determinism is unaffected.  Values < 1 clamp
     /// to 1.
     int trial_chunk = 1;
-    /// Idle execution contexts (two interpreters + scratch each) the
-    /// audit-wide context cache retains; contexts in flight on a worker are
-    /// not counted.  Smaller bounds trade interpreter-reuse hits for memory;
-    /// eviction only ever destroys idle contexts, never running ones.
-    /// 0 = one per worker.
-    int context_cache_bound = 0;
-    /// Retired per-instance plan caches (compiled state plans + tasklet
-    /// bytecode) kept resident after the scheduler's cursor passes their
-    /// instance.  Bounds audit memory to O(bound) instances' artifacts; a
-    /// straggler that rebinds to an evicted instance transparently rebuilds.
-    int plan_cache_bound = 4;
     SamplerConfig sampler;  ///< Input-configuration sampling (Sec. 5.1).
     DiffConfig diff;        ///< Comparison threshold + interpreter settings.
     CutoutOptions cutout;   ///< Cutout extraction options (Sec. 3).
@@ -152,24 +141,21 @@ struct FuzzReport {
 /// test_instance() call.  `workers` is deterministic; every other field can
 /// depend on thread timing (e.g. `units` varies with how many in-flight
 /// trials past a failure still ran) — they exist for benchmarks, tuning
-/// (docs/TUNING.md) and the eviction tests, and only become run-to-run
+/// (docs/TUNING.md) and the scheduler tests, and only become run-to-run
 /// stable at one worker or on failure-free audits.
 struct SchedulerStats {
     int workers = 0;             ///< Pool size after clamping to the unit count.
     std::int64_t units = 0;      ///< (instance, trial) units executed.
     std::int64_t claims = 0;     ///< Scheduler claim operations (chunked).
-    int contexts_built = 0;      ///< Execution contexts constructed.
-    int context_hits = 0;        ///< Cache hits already bound to the instance.
-    int context_rebinds = 0;     ///< Idle contexts rebound to a new instance.
-    int context_evictions = 0;   ///< Idle contexts destroyed over the bound.
-    std::int64_t plan_caches_evicted = 0;  ///< Registry evictions (see plan_cache.h).
+    int contexts_built = 0;      ///< Worker testers constructed (one per slot).
+    int context_rebinds = 0;     ///< Worker testers rebound to a new instance.
     /// Wall clock of the prepare phase (cutout, min-cut, transformation
     /// application, constraint derivation across all instances; audit()
     /// fans it over the worker pool).  Deterministic in outcome, not value.
     double prepare_seconds = 0.0;
-    /// Specialization counters summed over every per-instance plan cache of
-    /// the run: how many scopes/tasklets classified into the flat-stride /
-    /// untagged-f64 tiers and how the kernel launches went (see
+    /// Specialization counters summed over every instance's plan cache: how
+    /// many scopes/tasklets classified into the flat-stride / untagged
+    /// f64/i64 tiers and how the kernel launches went (see
     /// interp::SpecStats and docs/TUNING.md).  Plan-time fields are
     /// deterministic; launch counters scale with executed trials.
     interp::SpecStats spec;
@@ -189,15 +175,15 @@ struct SchedulerStats {
 /// itself is prepare + run_range(0, unit_count()) + finalize().
 ///
 /// run_range() may be called repeatedly (the shard runner executes one
-/// checkpoint chunk per call); execution contexts and plan caches persist
-/// across calls.  Determinism contract (docs/ARCHITECTURE.md): for a fixed
+/// checkpoint chunk per call); worker testers and per-instance plan caches
+/// persist across calls.  Determinism contract (docs/ARCHITECTURE.md): for a fixed
 /// prepared job, the records of every executed unit are byte-identical
 /// regardless of how the unit space is cut into ranges, processes, or
 /// worker threads.
 class PreparedAudit {
 public:
     PreparedAudit();   ///< Empty audit (0 instances) — assign over it.
-    ~PreparedAudit();  ///< Releases jobs, caches and contexts.
+    ~PreparedAudit();  ///< Releases jobs, plan caches and worker testers.
     PreparedAudit(PreparedAudit&&) noexcept;             ///< Movable,
     PreparedAudit& operator=(PreparedAudit&&) noexcept;  ///< not copyable.
 
@@ -251,7 +237,7 @@ public:
 private:
     friend class Fuzzer;
     struct Impl;
-    std::unique_ptr<Impl> impl_;  ///< Prepared jobs + persistent caches.
+    std::unique_ptr<Impl> impl_;  ///< Prepared jobs + worker testers.
 };
 
 /// Differential fuzzer: tests transformation instances (Sec. 5) and audits

@@ -12,40 +12,6 @@
 
 namespace ff::feedback {
 
-namespace {
-
-/// Appends the per-line CRC to a compact, canonical JSON object dump (which
-/// always ends in '}'): the CRC is over the line without its "crc" field,
-/// the same convention as the shard record stream.
-std::string sealed_line(const common::Json& obj) {
-    std::string line = obj.dump();
-    const std::uint32_t crc = common::crc32c(line);
-    line.insert(line.size() - 1, ",\"crc\":\"" + common::crc32c_hex(crc) + "\"");
-    return line + "\n";
-}
-
-/// Verifies and strips the "crc" field of a parsed line; throws
-/// IntegrityError naming `path` and `line_no` on a mismatch.
-common::Json verify_line(const std::string& path, int line_no, const std::string& text) {
-    common::Json j;
-    try {
-        j = common::Json::parse(text);
-    } catch (const common::ParseError& e) {
-        throw common::FileParseError(path, line_no, common::error_detail(e));
-    }
-    if (!j.is_object() || !j.contains("crc"))
-        throw common::IntegrityError(path, line_no, "line is missing its checksum");
-    std::uint32_t stored = 0;
-    if (!common::crc32c_parse(common::json_string(j, "crc"), stored))
-        throw common::IntegrityError(path, line_no, "malformed checksum field");
-    j.as_object().erase("crc");
-    if (common::crc32c(j.dump()) != stored)
-        throw common::IntegrityError(path, line_no, "line checksum mismatch");
-    return j;
-}
-
-}  // namespace
-
 common::Json corpus_entry_to_json(const CorpusEntry& entry) {
     common::JsonObject o;
     o["instance"] = common::Json(entry.instance);
@@ -93,20 +59,20 @@ void write_corpus_file(const std::string& path, const common::Json& job,
         header["type"] = common::Json(std::string("corpus-header"));
         header["format"] = common::Json(std::int64_t{1});
         header["job"] = job;
-        bytes += sealed_line(common::Json(std::move(header)));
+        bytes += common::checksummed_line(common::Json(std::move(header)));
     }
     for (const CorpusEntry& entry : entries) {
         common::JsonObject line;
         line["type"] = common::Json(std::string("entry"));
         line["entry"] = corpus_entry_to_json(entry);
-        bytes += sealed_line(common::Json(std::move(line)));
+        bytes += common::checksummed_line(common::Json(std::move(line)));
     }
     {
         common::JsonObject trailer;
         trailer["type"] = common::Json(std::string("trailer"));
         trailer["entries"] = common::Json(static_cast<std::int64_t>(entries.size()));
         trailer["digest"] = common::Json(common::crc32c_hex(common::crc32c(bytes)));
-        bytes += sealed_line(common::Json(std::move(trailer)));
+        bytes += common::checksummed_line(common::Json(std::move(trailer)));
     }
 
     const std::string tmp = path + ".tmp";
@@ -136,45 +102,58 @@ CorpusFile read_corpus_file(const std::string& path) {
         ++line_no;
         if (have_trailer)
             throw common::IntegrityError(path, line_no, "data after the corpus trailer");
-        const common::Json j = verify_line(path, line_no, line);
-        const std::string& type = common::json_string(j, "type");
-        if (line_no == 1) {
-            if (type != "corpus-header")
-                throw common::FileParseError(path, 1, "expected a corpus-header line");
-            if (common::json_int(j, "format") != 1)
-                throw common::FileParseError(path, 1, "unsupported corpus format " +
-                                                          std::to_string(common::json_int(j, "format")));
-            file.job = j.at("job");
-            have_header = true;
-        } else if (type == "entry") {
-            CorpusEntry entry = corpus_entry_from_json(j.at("entry"));
-            if (!file.entries.empty()) {
-                const CorpusEntry& prev = file.entries.back();
-                if (std::make_pair(prev.instance, prev.trial) >=
-                    std::make_pair(entry.instance, entry.trial))
-                    throw common::FileParseError(
+        // Bytes are verified before they are parsed, like the record stream.
+        switch (common::verify_line_crc(line)) {
+            case common::LineCrc::Ok: break;
+            case common::LineCrc::Bad:
+                throw common::IntegrityError(path, line_no, "line checksum mismatch");
+            case common::LineCrc::Missing:
+                throw common::IntegrityError(path, line_no, "line is missing its checksum");
+        }
+        // Every decoding failure below names the file and the line.
+        try {
+            const common::Json j = common::Json::parse(line);
+            const std::string& type = common::json_string(j, "type");
+            if (line_no == 1) {
+                if (type != "corpus-header") throw common::Error("expected a corpus-header line");
+                if (common::json_int(j, "format") != 1)
+                    throw common::Error("unsupported corpus format " +
+                                        std::to_string(common::json_int(j, "format")));
+                file.job = j.at("job");
+                have_header = true;
+            } else if (type == "entry") {
+                CorpusEntry entry = corpus_entry_from_json(j.at("entry"));
+                if (!file.entries.empty()) {
+                    const CorpusEntry& prev = file.entries.back();
+                    if (std::make_pair(prev.instance, prev.trial) >=
+                        std::make_pair(entry.instance, entry.trial))
+                        throw common::Error("entries out of canonical order at instance " +
+                                            std::to_string(entry.instance) + ", trial " +
+                                            std::to_string(entry.trial));
+                }
+                file.entries.push_back(std::move(entry));
+            } else if (type == "trailer") {
+                if (common::json_int(j, "entries") !=
+                    static_cast<std::int64_t>(file.entries.size()))
+                    throw common::IntegrityError(
                         path, line_no,
-                        "entries out of canonical order at instance " +
-                            std::to_string(entry.instance) + ", trial " +
-                            std::to_string(entry.trial));
+                        "trailer claims " + std::to_string(common::json_int(j, "entries")) +
+                            " entries but the file carries " +
+                            std::to_string(file.entries.size()));
+                std::uint32_t stored = 0;
+                if (!common::crc32c_parse(common::json_string(j, "digest"), stored))
+                    throw common::IntegrityError(path, line_no, "malformed trailer digest");
+                if (stored != digest)
+                    throw common::IntegrityError(path, line_no, "corpus digest mismatch");
+                have_trailer = true;
+                continue;  // digest covers bytes before the trailer only
+            } else {
+                throw common::Error("unknown line type '" + type + "'");
             }
-            file.entries.push_back(std::move(entry));
-        } else if (type == "trailer") {
-            if (common::json_int(j, "entries") !=
-                static_cast<std::int64_t>(file.entries.size()))
-                throw common::IntegrityError(
-                    path, line_no,
-                    "trailer claims " + std::to_string(common::json_int(j, "entries")) +
-                        " entries but the file carries " + std::to_string(file.entries.size()));
-            std::uint32_t stored = 0;
-            if (!common::crc32c_parse(common::json_string(j, "digest"), stored))
-                throw common::IntegrityError(path, line_no, "malformed trailer digest");
-            if (stored != digest)
-                throw common::IntegrityError(path, line_no, "corpus digest mismatch");
-            have_trailer = true;
-            continue;  // digest covers bytes before the trailer only
-        } else {
-            throw common::FileParseError(path, line_no, "unknown line type '" + type + "'");
+        } catch (const common::IntegrityError&) {
+            throw;
+        } catch (const common::Error& e) {
+            throw common::FileParseError(path, line_no, common::error_detail(e));
         }
         digest = common::crc32c(line + "\n", digest);
     }

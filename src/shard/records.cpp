@@ -17,6 +17,7 @@
 namespace ff::shard {
 
 using common::Json;
+using common::LineCrc;
 
 namespace {
 
@@ -45,37 +46,6 @@ void sync_parent_dir(const std::string& path) {
     if (fd < 0) return;  // best effort: some filesystems refuse directory fds
     ::fsync(fd);
     ::close(fd);
-}
-
-/// The per-line checksum travels as the line's final field:
-///   {...original fields...,"crc":"xxxxxxxx"}
-/// and covers the line with that splice removed — i.e. exactly the bytes
-/// Json::dump produced.  Splicing raw text (instead of adding a "crc" key
-/// to the object) matters because Json::dump orders keys alphabetically:
-/// re-serializing with the field present would move it, so verification is
-/// positional suffix arithmetic on the raw line, never a re-serialization.
-constexpr std::size_t kCrcSuffixBytes = 18;  // strlen(",\"crc\":\"xxxxxxxx\"}")
-
-std::string checksummed_line(const Json& j) {
-    std::string dump = j.dump();
-    const std::uint32_t crc = common::crc32c(dump);
-    dump.insert(dump.size() - 1, ",\"crc\":\"" + common::crc32c_hex(crc) + "\"");
-    dump += '\n';
-    return dump;
-}
-
-enum class LineCrc { Ok, Bad, Missing };
-
-/// Verifies the trailing checksum field of one raw line (no newline).
-LineCrc verify_line_crc(std::string_view line) {
-    if (line.size() < kCrcSuffixBytes + 2 || line.back() != '}') return LineCrc::Missing;
-    const std::string_view tail = line.substr(line.size() - kCrcSuffixBytes);
-    if (tail.substr(0, 8) != ",\"crc\":\"" || tail[16] != '"') return LineCrc::Missing;
-    std::uint32_t stored = 0;
-    if (!common::crc32c_parse(tail.substr(8, 8), stored)) return LineCrc::Bad;
-    std::string covered(line.substr(0, line.size() - kCrcSuffixBytes));
-    covered += '}';
-    return common::crc32c(covered) == stored ? LineCrc::Ok : LineCrc::Bad;
 }
 
 }  // namespace
@@ -162,7 +132,7 @@ RecordWriter::~RecordWriter() {
 }
 
 void RecordWriter::write_line(const Json& line) {
-    const std::string bytes = checksummed_line(line);
+    const std::string bytes = common::checksummed_line(line);
     digest_ = common::crc32c(bytes, digest_);
     buffered_write(bytes);
 }
@@ -278,7 +248,7 @@ RecordScan scan_record_file(const std::string& path) {
 
         // Bytes are verified before they are parsed: a flipped bit anywhere
         // in the line fails here, whether or not it kept the JSON valid.
-        const LineCrc crc = verify_line_crc(line);
+        const LineCrc crc = common::verify_line_crc(line);
         if (crc == LineCrc::Bad) {
             corrupt(ScanErrorKind::Integrity, lineno,
                     "line checksum mismatch (the line's bytes are not the bytes that "

@@ -3,12 +3,11 @@
 // The contract under test (docs/ARCHITECTURE.md "Determinism contract"):
 // a full audit produces byte-identical reports — verdicts, trial counts,
 // failure details, reproducer artifacts, instance order — at any worker
-// count, any trial chunking, and any context/plan-cache bound, because
-// trial inputs are a pure function of (seed, trial index) and per-instance
-// records are merged in canonical instance x trial order.  This file also
-// unit-tests the two bounded caches behind the scheduler (core::TesterCache,
-// interp::PlanCacheRegistry) and doubles as a TSan target alongside
-// test_parallel (see the FF_SANITIZE=thread CI job).
+// count and any trial chunking, because trial inputs are a pure function of
+// (seed, trial index) and per-instance records are merged in canonical
+// instance x trial order.  This file also checks the scheduler's context
+// reuse (one tester per worker, one plan cache per instance) and doubles as
+// a TSan target alongside test_parallel (see the FF_SANITIZE=thread CI job).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -153,27 +152,6 @@ TEST(AuditParallel, TrialChunkingPreservesReports) {
                                "chunk 1 vs chunk 1000");
 }
 
-TEST(AuditParallel, TinyCacheBoundsStillByteIdentical) {
-    // Starving both the context cache and the plan-cache registry must only
-    // cost rebuilds, never change results.
-    const ir::SDFG p = make_k_map_chain(5);
-    std::vector<xform::TransformationPtr> passes;
-    passes.push_back(std::make_unique<xform::MapTiling>(4, xform::MapTiling::Variant::Correct));
-
-    core::FuzzConfig config = quick_config();
-    config.num_threads = 1;
-    const AuditSnapshot baseline = run_audit_snapshot(p, passes, config);
-    ASSERT_EQ(baseline.reports.size(), 5u);
-    for (const auto& r : baseline.reports)
-        EXPECT_EQ(r.verdict, core::Verdict::Pass) << r.detail;
-
-    config.num_threads = 8;
-    config.context_cache_bound = 1;
-    config.plan_cache_bound = 0;  // retire drops every finished instance's cache
-    expect_snapshots_identical(baseline, run_audit_snapshot(p, passes, config),
-                               "default vs starved caches");
-}
-
 TEST(AuditParallel, SchedulerStatsCountUnitsAndClaims) {
     const ir::SDFG p = make_scale_sdfg();
     xform::MapTiling tiling(4, xform::MapTiling::Variant::Correct);
@@ -194,118 +172,51 @@ TEST(AuditParallel, SchedulerStatsCountUnitsAndClaims) {
     EXPECT_EQ(stats.units, 20);       // every trial of the passing instance ran
     EXPECT_EQ(stats.claims, 5);       // ceil(20 / chunk 4)
     EXPECT_EQ(stats.contexts_built, 1);
-    EXPECT_EQ(stats.context_hits, 0);
     EXPECT_EQ(stats.context_rebinds, 0);
-    EXPECT_EQ(stats.context_evictions, 0);
 }
 
-TEST(AuditParallel, PlanCacheRegistryEvictsRetiredInstancesDuringAudit) {
-    // One worker claims instances strictly in order, so the retire watermark
-    // and the final flush make registry eviction exact: every instance's
-    // cache is retired and, with a bound of one, all but one is evicted.
+TEST(AuditParallel, OneTesterPerWorkerOnePlanCachePerInstance) {
     const ir::SDFG p = make_k_map_chain(6);
     std::vector<xform::TransformationPtr> passes;
     passes.push_back(std::make_unique<xform::MapTiling>(4, xform::MapTiling::Variant::Correct));
 
+    // One worker claims the instances in order: its tester is built once
+    // and rebound at each of the five instance switches.
     core::FuzzConfig config = quick_config();
     config.num_threads = 1;
-    config.plan_cache_bound = 1;
     core::Fuzzer fuzzer(config);
     const auto reports = fuzzer.audit(p, passes);
     ASSERT_EQ(reports.size(), 6u);
     for (const auto& r : reports) EXPECT_EQ(r.verdict, core::Verdict::Pass) << r.detail;
-    EXPECT_EQ(fuzzer.last_stats().plan_caches_evicted, 5);
-    EXPECT_EQ(fuzzer.last_stats().units, 6 * config.max_trials);
-}
+    const core::SchedulerStats one = fuzzer.last_stats();
+    EXPECT_EQ(one.contexts_built, 1);
+    EXPECT_EQ(one.context_rebinds, 5);
+    EXPECT_EQ(one.units, 6 * config.max_trials);
 
-// --- TesterCache: bounded idle-context cache ---------------------------------
+    // A range split in the middle of one instance (a shard checkpoint
+    // chunk) resumes on the same warm tester: no second build, no rebind.
+    core::PreparedAudit split = fuzzer.prepare(p, passes);
+    const int mt = split.max_trials();
+    split.run_range(0, mt / 2);
+    split.run_range(mt / 2, mt);
+    EXPECT_EQ(split.stats().contexts_built, 1);
+    EXPECT_EQ(split.stats().context_rebinds, 0);
+    EXPECT_EQ(split.stats().units, mt);
 
-TEST(TesterCache, HitSkipsBindingAndRebindIsLru) {
-    core::TesterCache cache(/*bound=*/4, core::DiffConfig{});
-    int binds = 0;
-    const auto count_bind = [&binds](core::DifferentialTester&) { ++binds; };
-
-    // Build two contexts (cache empty), bound to instances 7 and 9.
-    auto t7 = cache.acquire(7, count_bind);
-    auto t9 = cache.acquire(9, count_bind);
-    EXPECT_EQ(binds, 2);
-    EXPECT_EQ(cache.stats().built, 2);
-    core::DifferentialTester* raw7 = t7.get();
-    core::DifferentialTester* raw9 = t9.get();
-    cache.release(std::move(t7), 7);
-    cache.release(std::move(t9), 9);
-    EXPECT_EQ(cache.idle_count(), 2u);
-
-    // Same-instance acquire: hit, no bind, same object back.
-    auto again = cache.acquire(9, count_bind);
-    EXPECT_EQ(binds, 2);
-    EXPECT_EQ(again.get(), raw9);
-    EXPECT_EQ(cache.stats().hits, 1);
-    cache.release(std::move(again), 9);
-
-    // Unknown instance: the least recently released idle context (7) is
-    // rebound instead of building a third.
-    auto rebound = cache.acquire(1, count_bind);
-    EXPECT_EQ(binds, 3);
-    EXPECT_EQ(rebound.get(), raw7);
-    EXPECT_EQ(cache.stats().rebinds, 1);
-    EXPECT_EQ(cache.stats().built, 2);
-}
-
-TEST(TesterCache, EvictsIdleContextsOverBound) {
-    core::TesterCache cache(/*bound=*/1, core::DiffConfig{});
-    const auto no_bind = [](core::DifferentialTester&) {};
-
-    // Two contexts in flight at once (two workers); the bound only applies
-    // when they come back idle.
-    auto a = cache.acquire(0, no_bind);
-    auto b = cache.acquire(1, no_bind);
-    EXPECT_EQ(cache.stats().built, 2);
-    cache.release(std::move(a), 0);
-    EXPECT_EQ(cache.idle_count(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 0);
-    cache.release(std::move(b), 1);  // over the bound: destroyed
-    EXPECT_EQ(cache.idle_count(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 1);
-}
-
-// --- PlanCacheRegistry: bounded per-instance cache registry ------------------
-
-TEST(PlanCacheRegistry, RetireEvictsOldestBeyondBound) {
-    interp::PlanCacheRegistry registry(/*retained_bound=*/1);
-    const interp::PlanCachePtr c0 = registry.acquire(0);
-    const interp::PlanCachePtr c1 = registry.acquire(1);
-    const interp::PlanCachePtr c2 = registry.acquire(2);
-    EXPECT_EQ(registry.size(), 3u);
-    EXPECT_EQ(registry.creations(), 3u);
-    ASSERT_NE(c0, c1);  // instances never share a cache
-
-    registry.retire(0);
-    EXPECT_EQ(registry.evictions(), 0u);  // within the bound
-    registry.retire(1);                    // two retired: oldest (0) goes
-    EXPECT_EQ(registry.evictions(), 1u);
-    EXPECT_EQ(registry.size(), 2u);
-    registry.retire(1);  // idempotent
-    EXPECT_EQ(registry.evictions(), 1u);
-
-    // The shared_ptr held above keeps the evicted cache itself alive — only
-    // the registry entry is gone; re-acquiring creates a fresh cache.
-    const interp::PlanCachePtr c0b = registry.acquire(0);
-    EXPECT_NE(c0b, c0);
-    EXPECT_EQ(registry.creations(), 4u);
-}
-
-TEST(PlanCacheRegistry, ReacquireUnretires) {
-    interp::PlanCacheRegistry registry(/*retained_bound=*/1);
-    const interp::PlanCachePtr c0 = registry.acquire(0);
-    registry.retire(0);
-    // A straggler re-acquires: same cache back, and it no longer counts as
-    // retired (retiring another instance must not evict it first).
-    EXPECT_EQ(registry.acquire(0), c0);
-    const interp::PlanCachePtr c1 = registry.acquire(1);
-    registry.retire(1);
-    EXPECT_EQ(registry.evictions(), 0u);  // 0 is live again, 1 is within bound
-    EXPECT_EQ(registry.size(), 2u);
+    // Each instance builds its plans once into its own cache, so the
+    // plan-time counters do not depend on the worker count.
+    config.num_threads = 8;
+    core::Fuzzer eight(config);
+    eight.audit(p, passes);
+    const interp::SpecStats& a = one.spec;
+    const interp::SpecStats& b = eight.last_stats().spec;
+    EXPECT_GT(a.scopes_planned, 0);
+    EXPECT_EQ(a.scopes_planned, b.scopes_planned);
+    EXPECT_EQ(a.scopes_specialized, b.scopes_specialized);
+    EXPECT_EQ(a.scopes_segmented, b.scopes_segmented);
+    EXPECT_EQ(a.tasklets_planned, b.tasklets_planned);
+    EXPECT_EQ(a.tasklets_f64, b.tasklets_f64);
+    EXPECT_EQ(a.tasklets_i64, b.tasklets_i64);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/fuzzer.h"
@@ -201,6 +202,41 @@ TEST(FeedbackCorpus, FileRoundTripAndCorruptionRejected) {
         out << bytes.substr(0, bytes.size() - 2);
     }
     EXPECT_THROW(feedback::read_corpus_file(path), common::Error);
+}
+
+TEST(FeedbackCorpus, SealedLineWithMissingKeyNamesFileAndLine) {
+    // An entry whose CRC and the trailer digest are both valid but which
+    // lacks its "cov" key: decoding fails, and the error must carry the
+    // file and the line, not escape as a bare parse error.
+    const std::string dir = scratch_dir("corpus_missing_key");
+    const std::string path = dir + "/corpus.jsonl";
+    common::Json header = common::Json::object();
+    header["type"] = "corpus-header";
+    header["format"] = std::int64_t{1};
+    header["job"] = common::Json::object();
+    common::Json entry = feedback::corpus_entry_to_json(sample_entries().front());
+    entry.as_object().erase("cov");
+    common::Json line = common::Json::object();
+    line["type"] = "entry";
+    line["entry"] = std::move(entry);
+    std::string bytes = common::checksummed_line(header) + common::checksummed_line(line);
+    common::Json trailer = common::Json::object();
+    trailer["type"] = "trailer";
+    trailer["entries"] = std::int64_t{1};
+    trailer["digest"] = common::crc32c_hex(common::crc32c(bytes));
+    bytes += common::checksummed_line(trailer);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+    try {
+        feedback::read_corpus_file(path);
+        FAIL() << "expected a FileParseError";
+    } catch (const common::FileParseError& e) {
+        EXPECT_EQ(e.path(), path);
+        EXPECT_EQ(e.line(), 2);
+        EXPECT_NE(std::string(e.what()).find("cov"), std::string::npos) << e.what();
+    }
 }
 
 // --- Report plumbing ----------------------------------------------------------
