@@ -10,7 +10,10 @@ End-to-end enforcement of determinism-contract clause 10
    (the derivational generation barrier cannot depend on thread count);
 3. `ffaudit plan` with 4 shards, shard 2 interrupted mid-run and resumed,
    then `ffaudit merge --corpus-out` must reproduce both files
-   byte-for-byte (corpus gaps re-derived from the injected records);
+   byte-for-byte; so must a hand-cut pair of manifests that splits one
+   instance mid-generation (the planner cuts guided jobs only between
+   instances, so only such a pair makes a shard re-derive corpus coverage
+   another shard recorded);
 4. the corpus must span more than one generation — i.e. mutated
    descendants of earlier entries themselves earned corpus slots, the
    signature of feedback actually steering (coverage strictly grows
@@ -26,6 +29,7 @@ Exits non-zero on the first violated expectation.
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -123,6 +127,34 @@ def main() -> None:
         if merged_corpus.read_bytes() != ref_corpus.read_bytes():
             fail("merged corpus differs from the single-process corpus")
 
+        # 3b. Cross-shard derivation: the 1-shard plan rewritten into two
+        # manifests cut at instance 1, trial 15 (inside generation 1), so
+        # the second shard re-derives that instance's generation 0.
+        cut = 30 + GENERATION_SIZE + GENERATION_SIZE // 2
+        cut_dir, cut_rec = root / "plan-cut", root / "rec-cut"
+        cut_report, cut_corpus = root / "report-cut.json", root / "corpus-cut.jsonl"
+        run([ffaudit, "plan", *GUIDED_FLAGS, "--shards", "1",
+             "--checkpoint-interval", "3", "--out-dir", cut_dir])
+        whole = json.loads((cut_dir / "shard-0.json").read_text())
+        for index, (begin, end) in enumerate([(0, cut), (cut, whole["unit_end"])]):
+            manifest = dict(whole, shard_index=index, shard_count=2,
+                            unit_begin=begin, unit_end=end)
+            (cut_dir / f"shard-{index}.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        derived = []
+        for index in (0, 1):
+            out = run([ffaudit, "run-shard", "--manifest", cut_dir / f"shard-{index}.json",
+                       "--records-dir", cut_rec, "--threads", "1"])
+            derived.append(int(re.search(r"coverage_derived (\d+)", out).group(1)))
+        if derived[0] != 0 or derived[1] <= 0:
+            fail(f"coverage_derived {derived}: expected 0 for the shard that starts at unit 0 "
+                 "and > 0 for the one that starts mid-instance")
+        run([ffaudit, "merge", "--records-dir", cut_rec,
+             "--out", cut_report, "--corpus-out", cut_corpus])
+        if cut_report.read_bytes() != ref_report.read_bytes():
+            fail("mid-instance cut: merged report differs from the single-process report")
+        if cut_corpus.read_bytes() != ref_corpus.read_bytes():
+            fail("mid-instance cut: merged corpus differs from the single-process corpus")
+
         # 4. Feedback actually steered: the corpus spans more than one
         # generation, so coverage kept growing after mutation kicked in.
         trials = corpus_trials(ref_corpus)
@@ -154,8 +186,8 @@ def main() -> None:
 
         print(f"feedback_smoke: PASS (guided {guided_pairs} vs unguided "
               f"{unguided_pairs} pairs; corpus of {len(trials)} entries across "
-              f"{len(generations)} generations; 8-thread and 4-shard runs "
-              "byte-identical)")
+              f"{len(generations)} generations; 8-thread, 4-shard and mid-instance-cut "
+              "runs byte-identical)")
 
 
 if __name__ == "__main__":

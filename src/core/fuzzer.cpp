@@ -419,6 +419,7 @@ struct PreparedAudit::Impl {
 
     void run_range(std::int64_t begin, std::int64_t end);
     void note_failures(std::int64_t begin, std::int64_t end);
+    void sum_instance_stats();
 };
 
 /// Executes every unit of [begin, end) with one worker pool (the audit-wide
@@ -466,15 +467,24 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end) {
     }
     if (sh.error) std::rethrow_exception(sh.error);
 
-    stats.spec = interp::SpecStats{};
-    for (const InstanceJob& job : jobs)
-        if (job.plans) stats.spec += job.plans->spec_stats();
+    sum_instance_stats();
     stats.units += sh.units.load(std::memory_order_relaxed);
     stats.claims += sh.claims.load(std::memory_order_relaxed);
     stats.contexts_built += sh.contexts_built.load(std::memory_order_relaxed);
     stats.context_rebinds += sh.context_rebinds.load(std::memory_order_relaxed);
 
     note_failures(begin, end);
+}
+
+/// Re-sums the counters each instance keeps for itself (plan-cache
+/// specialization stats, corpus-scan re-executions) into `stats`.
+void PreparedAudit::Impl::sum_instance_stats() {
+    stats.spec = interp::SpecStats{};
+    stats.coverage_derived = 0;
+    for (const InstanceJob& job : jobs) {
+        if (job.plans) stats.spec += job.plans->spec_stats();
+        if (job.feedback) stats.coverage_derived += job.feedback->derived();
+    }
 }
 
 /// Folds failures recorded in [begin, end) into the per-instance
@@ -539,6 +549,10 @@ void PreparedAudit::set_record(std::int64_t unit, TrialRecord record) {
     if (!job.runnable) return;  // report final since prepare; slots unused
     if (record.kind == TrialRecord::Kind::Failed && trial < impl_->lowest_failure[instance])
         impl_->lowest_failure[instance] = trial;
+    // An injected record carries the coverage its process recorded, so the
+    // corpus scan need not re-execute it (a resumed shard's earlier chunks).
+    if (job.feedback && record.kind != TrialRecord::Kind::NotRun)
+        job.feedback->note_trial(trial, record.coverage);
     job.records[static_cast<std::size_t>(trial)] = std::move(record);
 }
 
@@ -549,6 +563,7 @@ std::vector<FuzzReport> PreparedAudit::finalize() {
         finalize_instance(impl_->config, job);
         reports.push_back(std::move(job.report));
     }
+    impl_->sum_instance_stats();  // finalize's scan may re-execute gaps
     return reports;
 }
 

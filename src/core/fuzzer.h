@@ -149,6 +149,11 @@ struct SchedulerStats {
     std::int64_t claims = 0;     ///< Scheduler claim operations (chunked).
     int contexts_built = 0;      ///< Worker testers constructed (one per slot).
     int context_rebinds = 0;     ///< Worker testers rebound to a new instance.
+    /// Original-side re-executions the feedback corpus scan ran for trials
+    /// this process had not executed when the scan reached them (summed
+    /// over guided instances; 0 without `feedback`).  Non-deterministic
+    /// across threads; see docs/TUNING.md.
+    std::int64_t coverage_derived = 0;
     /// Wall clock of the prepare phase (cutout, min-cut, transformation
     /// application, constraint derivation across all instances; audit()
     /// fans it over the worker pool).  Deterministic in outcome, not value.
@@ -215,7 +220,8 @@ public:
 
     /// Injects a record produced elsewhere (a shard merger) at flat unit
     /// index `unit`.  Ignored for units of non-runnable instances, whose
-    /// reports are final from preparation.
+    /// reports are final from preparation.  A guided instance's corpus scan
+    /// takes the record's coverage instead of re-executing the trial.
     void set_record(std::int64_t unit, TrialRecord record);
 
     /// Canonical-order merge of every instance's slots into its FuzzReport

@@ -44,9 +44,11 @@ std::vector<std::uint64_t> InstanceFeedback::coverage_of(std::int64_t trial,
         donated_.erase(it);
         return cov;
     }
-    // Cold path: this process never executed the trial (another shard owns
-    // it, or the scheduler stopped early) — derive its coverage by running
-    // the original side, exactly as the recording process did.
+    // Cold path: this process has not executed the trial (a hand-cut shard
+    // starting mid-instance, an early stop, or another thread still running
+    // it) — derive its coverage by running the original side, exactly as
+    // the recording process did.
+    ++derived_;
     run_map_.reset(atlas_->pair_count());
     interp_.set_coverage(&run_map_);
     interp::Context scratch = ctx;
@@ -136,5 +138,10 @@ std::vector<feedback::CorpusEntry> InstanceFeedback::entries() const {
 }
 
 std::uint32_t InstanceFeedback::pair_count() const { return atlas_->pair_count(); }
+
+std::int64_t InstanceFeedback::derived() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return derived_;
+}
 
 }  // namespace ff::core

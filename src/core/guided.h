@@ -18,8 +18,10 @@
 // original side of those trials under a private coverage-instrumented
 // interpreter — the same bitmaps any other process records (tier
 // invariance), so shards never need to communicate mid-run.  Coverage
-// donated by trials executed in-process (note_trial) makes that re-execution
-// the cold path.
+// donated by trials executed in-process (note_trial) or injected from
+// records makes that re-execution the cold path, and the shard planner cuts
+// guided jobs only between instances, so planned shards never take it for
+// trials another shard ran.
 #pragma once
 
 /// \file
@@ -80,6 +82,11 @@ public:
     /// Total def-use pairs of the instance's atlas.
     std::uint32_t pair_count() const;
 
+    /// Original-side re-executions the corpus scan has run so far (trials
+    /// it found no donation for) — the cold path's cost, zero when every
+    /// scanned trial ran in this process before the scan reached it.
+    std::int64_t derived() const;
+
 private:
     /// Records generation-boundary snapshots the scan has reached.  Caller
     /// holds mutex_.
@@ -108,6 +115,7 @@ private:
     feedback::CoverageMap run_map_;  ///< Scratch bitmap for re-executions.
     feedback::CoverageMap cum_map_;  ///< Cumulative map of the corpus scan.
     std::int64_t scanned_ = 0;       ///< Trials folded into the scan so far.
+    std::int64_t derived_ = 0;       ///< Re-executions run by coverage_of.
     std::uint32_t digest_ = 0;       ///< Rolling digest over entries_.
     /// Snapshot per generation g: (digest, entry count) of the corpus
     /// through generation g-1 — what generation g's draws are parameterized

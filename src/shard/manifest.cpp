@@ -164,21 +164,27 @@ std::vector<ShardManifest> plan_shards(const JobSpec& job, const ir::SDFG& progr
     // pipelines are left to the shard runners.
     std::int64_t instances = 0;
     for (const auto& pass : job_passes(job)) instances += pass->find_matches(program).size();
-    const std::int64_t units = instances * std::max(job.max_trials, 0);
+    const std::int64_t trials = std::max(job.max_trials, 0);
+    // Guided shards cut only at instance boundaries: a shard that starts
+    // mid-instance would have to re-execute the original side of every
+    // earlier trial of that instance to rebuild its corpus (clause 10).
+    // Unguided plans keep the one-unit grain (and their historical bytes).
+    const std::int64_t grain = job.feedback ? std::max<std::int64_t>(trials, 1) : 1;
+    const std::int64_t grains = instances * trials / grain;
 
     std::vector<ShardManifest> shards;
     shards.reserve(static_cast<std::size_t>(shard_count));
-    const std::int64_t base = units / shard_count;
-    const std::int64_t extra = units % shard_count;
+    const std::int64_t base = grains / shard_count;
+    const std::int64_t extra = grains % shard_count;
     std::int64_t next = 0;
     for (int i = 0; i < shard_count; ++i) {
         ShardManifest m;
         m.job = job;
         m.shard_index = i;
         m.shard_count = shard_count;
-        m.unit_begin = next;
+        m.unit_begin = next * grain;
         next += base + (i < extra ? 1 : 0);
-        m.unit_end = next;
+        m.unit_end = next * grain;
         m.instance_count = instances;
         m.checkpoint_interval = std::max(checkpoint_interval, 1);
         shards.push_back(std::move(m));

@@ -127,11 +127,15 @@ struct ShardManifest {
 ShardManifest load_manifest_file(const std::string& path);
 
 /// Deterministically partitions the job's unit space into `shard_count`
-/// contiguous slices, balanced to within one unit (the first
-/// `units % shard_count` shards take the extra unit).  Runs the job's match
-/// discovery to size the space; `program` must be the job's program (pass
-/// the result of load_job_program).  Shards with no units are still
-/// emitted (empty range) so plan output always has `shard_count` files.
+/// contiguous slices, balanced to within one grain (the first
+/// `grains % shard_count` shards take the extra grain).  The grain is one
+/// unit, except for guided jobs (`JobSpec::feedback`), whose grain is one
+/// whole instance (`max_trials` units): a guided shard never starts
+/// mid-instance, so it never re-derives another shard's corpus prefix.
+/// Runs the job's match discovery to size the space; `program` must be the
+/// job's program (pass the result of load_job_program).  Shards with no
+/// units are still emitted (empty range) so plan output always has
+/// `shard_count` files.
 std::vector<ShardManifest> plan_shards(const JobSpec& job, const ir::SDFG& program,
                                        int shard_count, int checkpoint_interval = 64);
 

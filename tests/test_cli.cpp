@@ -80,6 +80,35 @@ TEST(CliUsage, BadInvocationsExitTwo) {
         << "--help must document the exit-code contract";
 }
 
+TEST(CliUsage, OutOfRangeOrNonNumericIntegerFlagsExitTwo) {
+    const std::string dir = scratch_dir("bad_ints");
+    // 2^32 + 2 used to wrap to 2 and plan "2 shards of 2 trials".
+    const CliResult wrapped = run_cli("plan --workload gemm --passes correct --trials 4294967298 "
+                                      "--shards 4294967298 --out-dir " + dir);
+    EXPECT_EQ(wrapped.code, 2) << wrapped.out;
+    EXPECT_NE(wrapped.out.find("--trials"), std::string::npos) << wrapped.out;
+    EXPECT_NE(wrapped.out.find("4294967298"), std::string::npos) << wrapped.out;
+    EXPECT_FALSE(fs::exists(dir + "/shard-0.json"));
+
+    const CliResult garbage = run_cli("plan --workload gemm --passes correct --shards abc "
+                                      "--out-dir " + dir);
+    EXPECT_EQ(garbage.code, 2) << garbage.out;
+    EXPECT_NE(garbage.out.find("--shards"), std::string::npos) << garbage.out;
+    EXPECT_NE(garbage.out.find("'abc'"), std::string::npos) << garbage.out;
+
+    EXPECT_EQ(run_cli("plan --workload gemm --shards 2x --out-dir " + dir).code, 2);
+    EXPECT_EQ(run_cli("plan --workload gemm --shards 2 --seed -1 --out-dir " + dir).code, 2);
+    EXPECT_EQ(run_cli("plan --workload gemm --shards 2 --threshold 1e-5x --out-dir " + dir).code,
+              2);
+    EXPECT_EQ(run_cli("plan --workload gemm --shards 2 --default N=ten --out-dir " + dir).code, 2);
+    EXPECT_EQ(run_cli("plan --workload gemm --shards").code, 2);  // missing value
+    // Hex and full-width values still parse.
+    EXPECT_EQ(run_cli("plan --workload gemm --passes tiling --trials 2 --shards 0x2 "
+                      "--seed 18446744073709551615 --out-dir " + dir)
+                  .code,
+              0);
+}
+
 TEST(CliJobErrors, UnknownWorkloadExitsFour) {
     const CliResult r = run_cli("run --workload no_such_kernel");
     EXPECT_EQ(r.code, 4);

@@ -353,6 +353,29 @@ shard::JobSpec feedback_job(int trials = 8) {
     return job;
 }
 
+/// `job`'s unit space cut by hand at `cuts` (ascending, inside the space).
+/// The planner cuts guided jobs only between instances, so shards that
+/// start mid-instance — and must re-derive the corpus prefix another shard
+/// recorded — only arise from hand-made or bisected manifests.
+std::vector<shard::ShardManifest> manifests_cut_at(const shard::JobSpec& job,
+                                                   const ir::SDFG& program,
+                                                   const std::vector<std::int64_t>& cuts) {
+    const shard::ShardManifest whole = shard::plan_shards(job, program, 1, /*checkpoint=*/3)[0];
+    std::vector<std::int64_t> ends = cuts;
+    ends.push_back(whole.unit_end);
+    std::vector<shard::ShardManifest> manifests;
+    std::int64_t begin = 0;
+    for (const std::int64_t end : ends) {
+        shard::ShardManifest m = whole;
+        m.shard_index = static_cast<int>(manifests.size());
+        m.shard_count = static_cast<int>(ends.size());
+        m.unit_begin = begin;
+        m.unit_end = begin = end;
+        manifests.push_back(std::move(m));
+    }
+    return manifests;
+}
+
 TEST(FeedbackDeterminism, ShardMergedCorpusMatchesSingleProcessByteForByte) {
     const shard::JobSpec job = feedback_job();
     const std::string root = scratch_dir("shards");
@@ -370,33 +393,74 @@ TEST(FeedbackDeterminism, ShardMergedCorpusMatchesSingleProcessByteForByte) {
     const std::string ref_corpus = read_file(ref_corpus_path);
     EXPECT_NE(ref_corpus.find("\"cov\""), std::string::npos) << "corpus has entries";
 
-    const ir::SDFG program = shard::load_job_program(job);
-    for (int count : {1, 2, 4, 8}) {
-        const std::string dir = root + "/n" + std::to_string(count);
-        fs::create_directories(dir);
-        const auto manifests = shard::plan_shards(job, program, count, /*checkpoint=*/3);
-        std::vector<std::string> paths;
-        for (const auto& m : manifests) {
-            const std::string path = dir + "/records-" + std::to_string(m.shard_index) + ".jsonl";
-            shard::RunShardOptions options;
-            options.num_threads = 1 + m.shard_index % 2;
-            if (count == 4 && m.shard_index == 2 && m.unit_end - m.unit_begin > 2) {
-                // Interrupt one shard mid-run and resume it.
-                shard::RunShardOptions interrupting = options;
-                interrupting.interrupt_after_units = (m.unit_end - m.unit_begin) / 2;
-                EXPECT_FALSE(shard::run_shard(m, path, interrupting).completed);
-                EXPECT_TRUE(shard::run_shard(m, path, options).completed);
-            } else {
-                EXPECT_TRUE(shard::run_shard(m, path, options).completed);
-            }
-            paths.push_back(path);
-        }
+    // Merges the shards' record files and checks report and corpus bytes.
+    auto expect_merge_matches = [&](const std::vector<std::string>& paths,
+                                    const std::string& label) {
         shard::MergeResult merged = shard::merge_shards(paths);
         EXPECT_EQ(shard::canonical_report_document(std::move(merged.reports)).dump(2), ref_doc)
-            << count << " shard(s)";
-        const std::string corpus_path = dir + "/corpus.jsonl";
+            << label;
+        const std::string corpus_path = root + "/corpus-" + label + ".jsonl";
         feedback::write_corpus_file(corpus_path, merged.job.to_json(), merged.corpus);
-        EXPECT_EQ(read_file(corpus_path), ref_corpus) << count << " shard(s)";
+        EXPECT_EQ(read_file(corpus_path), ref_corpus) << label;
+    };
+    auto records_path = [&](const std::string& label, const shard::ShardManifest& m) {
+        fs::create_directories(root + "/" + label);
+        return root + "/" + label + "/records-" + std::to_string(m.shard_index) + ".jsonl";
+    };
+
+    // Planned shards hold whole instances: a 1-thread shard runs every trial
+    // before the scan reaches it and never re-executes one.
+    const ir::SDFG program = shard::load_job_program(job);
+    for (int count : {1, 2, 4, 8}) {
+        const std::string label = "planned" + std::to_string(count);
+        std::vector<std::string> paths;
+        for (const auto& m : shard::plan_shards(job, program, count, /*checkpoint=*/3)) {
+            shard::RunShardOptions options;
+            options.num_threads = 1 + m.shard_index % 2;
+            paths.push_back(records_path(label, m));
+            const shard::RunShardResult result = shard::run_shard(m, paths.back(), options);
+            EXPECT_TRUE(result.completed);
+            if (options.num_threads == 1) {
+                EXPECT_EQ(result.stats.coverage_derived, 0) << label;
+            }
+        }
+        expect_merge_matches(paths, label);
+    }
+
+    // Hand cuts inside instance 0 (8 trials, generations of 4): shard 1
+    // starts inside generation 1 (unit 6) or exactly on its boundary (unit
+    // 4), and in both cases re-derives trials 0-3 that shard 0 ran.
+    for (const std::int64_t cut : {6, 4}) {
+        const std::string label = "cut" + std::to_string(cut);
+        std::vector<std::string> paths;
+        for (const auto& m : manifests_cut_at(job, program, {cut})) {
+            paths.push_back(records_path(label, m));
+            const shard::RunShardResult result = shard::run_shard(m, paths.back(), {});
+            EXPECT_TRUE(result.completed);
+            EXPECT_EQ(result.stats.coverage_derived, m.unit_begin == 0 ? 0 : 4) << label;
+        }
+        expect_merge_matches(paths, label);
+    }
+
+    // A mid-instance shard [5, 32) interrupted after its checkpoint at unit
+    // 14 (instance 1, trial 6) and resumed: the first run re-derives
+    // instance 0's trials 0-3; the resumed run takes instance 1's generation
+    // 0 from the injected records and re-derives nothing.
+    {
+        const auto manifests = manifests_cut_at(job, program, {5});
+        std::vector<std::string> paths;
+        for (const auto& m : manifests) paths.push_back(records_path("resumed", m));
+        EXPECT_TRUE(shard::run_shard(manifests[0], paths[0], {}).completed);
+        shard::RunShardOptions interrupting;
+        interrupting.interrupt_after_units = 10;
+        const shard::RunShardResult first = shard::run_shard(manifests[1], paths[1], interrupting);
+        EXPECT_FALSE(first.completed);
+        EXPECT_EQ(first.stats.coverage_derived, 4);
+        const shard::RunShardResult second = shard::run_shard(manifests[1], paths[1], {});
+        EXPECT_TRUE(second.completed);
+        EXPECT_EQ(second.resumed_from, 14);
+        EXPECT_EQ(second.stats.coverage_derived, 0);
+        expect_merge_matches(paths, "resumed");
     }
 }
 

@@ -220,6 +220,43 @@ TEST(ShardPlanner, TilesBalancesAndIsDeterministic) {
     EXPECT_THROW(shard::plan_shards(job, program, 0, 5), common::Error);
 }
 
+TEST(ShardPlanner, GuidedShardsHoldWholeInstances) {
+    // A guided shard that started mid-instance would re-execute the
+    // original side of every earlier trial of that instance to rebuild its
+    // corpus prefix, so feedback plans cut only at instance boundaries.
+    shard::JobSpec job = gemm_job(10);
+    job.feedback = job.coverage = true;
+    const ir::SDFG program = shard::load_job_program(job);
+    for (int count : {1, 2, 3, 4, 7, 9, 16}) {
+        const auto shards = shard::plan_shards(job, program, count, /*checkpoint_interval=*/5);
+        ASSERT_EQ(shards.size(), static_cast<std::size_t>(count));
+        const std::int64_t instances = shards.front().instance_count;
+        ASSERT_GT(instances, 0);
+        std::int64_t next = 0;
+        std::int64_t fewest = instances, most = 0;
+        int empty = 0;
+        for (int i = 0; i < count; ++i) {
+            EXPECT_EQ(shards[i].shard_index, i);
+            EXPECT_EQ(shards[i].unit_begin, next) << "contiguous partition";
+            EXPECT_EQ(shards[i].unit_begin % job.max_trials, 0) << count << " shards, shard " << i;
+            EXPECT_EQ(shards[i].unit_end % job.max_trials, 0) << count << " shards, shard " << i;
+            next = shards[i].unit_end;
+            const std::int64_t held = (shards[i].unit_end - shards[i].unit_begin) / job.max_trials;
+            fewest = std::min(fewest, held);
+            most = std::max(most, held);
+            empty += held == 0;
+        }
+        EXPECT_EQ(next, instances * job.max_trials) << "exact coverage";
+        EXPECT_LE(most - fewest, 1) << "balanced to within one instance";
+        EXPECT_EQ(empty, std::max<std::int64_t>(count - instances, 0))
+            << "empty shards only when instances run out";
+
+        const auto again = shard::plan_shards(job, program, count, 5);
+        for (int i = 0; i < count; ++i)
+            EXPECT_EQ(again[i].to_json().dump(), shards[i].to_json().dump()) << "deterministic";
+    }
+}
+
 TEST(ShardPlanner, ManifestJsonRoundTrip) {
     const shard::JobSpec job = gemm_job();
     const ir::SDFG program = shard::load_job_program(job);

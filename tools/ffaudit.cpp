@@ -29,11 +29,18 @@
 //       and, with --repair, truncates corrupt files to their last
 //       verifiable prefix so run-shard/serve can resume them.
 #include <algorithm>
+#include <cerrno>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -102,6 +109,9 @@ int usage(const char* detail = nullptr) {
                  "  --default <sym>=<val>    default symbol binding (repeatable)\n"
                  "\n"
                  "plan:      --shards <n> --out-dir <dir> [--checkpoint-interval <n>]\n"
+                 "           (--feedback jobs are cut only between instances, so each\n"
+                 "           shard holds whole instances and some stay empty when there\n"
+                 "           are fewer instances than shards)\n"
                  "run-shard: --manifest <file> --records-dir <dir> [--records <file>]\n"
                  "           [--threads <n>] [--trial-chunk <n>] [--no-resume]\n"
                  "           [--interrupt-after-units <n>]\n"
@@ -150,15 +160,62 @@ int usage(const char* detail = nullptr) {
     return kExitUsage;
 }
 
-/// Value of a --flag; advances `i`.  Throws common::Error when missing.
+/// A malformed command line (a missing or unparseable flag value): main
+/// prints it above the usage text and exits kExitUsage.
+struct UsageError : common::Error {
+    using common::Error::Error;
+};
+
+/// Value of a --flag; advances `i`.  Throws UsageError when missing.
 std::string flag_value(const std::vector<std::string>& args, std::size_t& i) {
-    if (i + 1 >= args.size()) throw common::Error("missing value for " + args[i]);
+    if (i + 1 >= args.size()) throw UsageError("missing value for " + args[i]);
     return args[++i];
 }
 
-std::int64_t int_value(const std::vector<std::string>& args, std::size_t& i) {
-    const std::string v = flag_value(args, i);
-    return std::stoll(v, nullptr, 0);
+/// `text` as an integer of type T: the whole token must parse (decimal, 0x
+/// hex or 0-prefixed octal) and fit T, else UsageError naming `what`.
+template <typename T>
+T parse_int(const std::string& what, const std::string& text) {
+    errno = 0;
+    char* end = nullptr;
+    // strto* skip leading blanks and strtoull negates "-1"; refuse both.
+    bool ok = !text.empty() && !std::isspace(static_cast<unsigned char>(text[0]));
+    T value{};
+    if constexpr (std::is_signed_v<T>) {
+        const long long n = std::strtoll(text.c_str(), &end, 0);
+        ok = ok && std::in_range<T>(n);
+        value = static_cast<T>(n);
+    } else {
+        const unsigned long long n = std::strtoull(text.c_str(), &end, 0);
+        ok = ok && text[0] != '-' && std::in_range<T>(n);
+        value = static_cast<T>(n);
+    }
+    if (!ok || errno == ERANGE || end != text.c_str() + text.size())
+        throw UsageError(what + ": '" + text + "' is not an integer in [" +
+                         std::to_string(std::numeric_limits<T>::min()) + ", " +
+                         std::to_string(std::numeric_limits<T>::max()) + "]");
+    return value;
+}
+
+/// Integer value of the --flag at `args[i]`; advances `i`.
+template <typename T>
+T int_value(const std::vector<std::string>& args, std::size_t& i) {
+    const std::string& flag = args[i];
+    return parse_int<T>(flag, flag_value(args, i));
+}
+
+/// Floating-point value of the --flag at `args[i]`; advances `i`.  The whole
+/// token must parse to a finite number, else UsageError.
+double double_value(const std::vector<std::string>& args, std::size_t& i) {
+    const std::string& flag = args[i];
+    const std::string text = flag_value(args, i);
+    errno = 0;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) || errno == ERANGE ||
+        end != text.c_str() + text.size() || !std::isfinite(value))
+        throw UsageError(flag + ": '" + text + "' is not a finite number");
+    return value;
 }
 
 /// Parses one job option; returns false when `args[i]` is not a job flag.
@@ -167,22 +224,23 @@ bool parse_job_flag(shard::JobSpec& job, const std::vector<std::string>& args, s
     if (a == "--workload") job.workload = flag_value(args, i);
     else if (a == "--sdfg") job.sdfg_path = flag_value(args, i);
     else if (a == "--passes") job.passes = flag_value(args, i);
-    else if (a == "--seed") job.seed = static_cast<std::uint64_t>(int_value(args, i));
-    else if (a == "--trials") job.max_trials = static_cast<int>(int_value(args, i));
-    else if (a == "--size-max") job.size_max = int_value(args, i);
-    else if (a == "--threshold") job.threshold = std::stod(flag_value(args, i));
-    else if (a == "--max-transitions") job.max_state_transitions = int_value(args, i);
-    else if (a == "--max-points") job.max_points = int_value(args, i);
-    else if (a == "--max-alloc-bytes") job.max_alloc_bytes = int_value(args, i);
+    else if (a == "--seed") job.seed = int_value<std::uint64_t>(args, i);
+    else if (a == "--trials") job.max_trials = int_value<int>(args, i);
+    else if (a == "--size-max") job.size_max = int_value<std::int64_t>(args, i);
+    else if (a == "--threshold") job.threshold = double_value(args, i);
+    else if (a == "--max-transitions") job.max_state_transitions = int_value<std::int64_t>(args, i);
+    else if (a == "--max-points") job.max_points = int_value<std::int64_t>(args, i);
+    else if (a == "--max-alloc-bytes") job.max_alloc_bytes = int_value<std::int64_t>(args, i);
     else if (a == "--no-mincut") job.use_mincut = false;
     else if (a == "--coverage") job.coverage = true;
     else if (a == "--feedback") job.feedback = job.coverage = true;
-    else if (a == "--generation-size") job.generation_size = static_cast<int>(int_value(args, i));
+    else if (a == "--generation-size") job.generation_size = int_value<int>(args, i);
     else if (a == "--default") {
         const std::string kv = flag_value(args, i);
         const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos) throw common::Error("--default expects <sym>=<val>: " + kv);
-        job.defaults[kv.substr(0, eq)] = std::stoll(kv.substr(eq + 1));
+        if (eq == std::string::npos) throw UsageError("--default expects <sym>=<val>: " + kv);
+        job.defaults[kv.substr(0, eq)] =
+            parse_int<std::int64_t>("--default " + kv.substr(0, eq), kv.substr(eq + 1));
     } else {
         return false;
     }
@@ -231,9 +289,9 @@ int cmd_plan(const std::vector<std::string>& args) {
     std::string out_dir;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (parse_job_flag(job, args, i)) continue;
-        if (args[i] == "--shards") shards = static_cast<int>(int_value(args, i));
+        if (args[i] == "--shards") shards = int_value<int>(args, i);
         else if (args[i] == "--checkpoint-interval")
-            checkpoint_interval = static_cast<int>(int_value(args, i));
+            checkpoint_interval = int_value<int>(args, i);
         else if (args[i] == "--out-dir") out_dir = flag_value(args, i);
         else return usage(("unknown plan option " + args[i]).c_str());
     }
@@ -261,12 +319,12 @@ int cmd_run_shard(const std::vector<std::string>& args) {
         if (args[i] == "--manifest") manifest_path = flag_value(args, i);
         else if (args[i] == "--records") records_path = flag_value(args, i);
         else if (args[i] == "--records-dir") records_dir = flag_value(args, i);
-        else if (args[i] == "--threads") options.num_threads = static_cast<int>(int_value(args, i));
+        else if (args[i] == "--threads") options.num_threads = int_value<int>(args, i);
         else if (args[i] == "--trial-chunk")
-            options.trial_chunk = static_cast<int>(int_value(args, i));
+            options.trial_chunk = int_value<int>(args, i);
         else if (args[i] == "--no-resume") options.resume = false;
         else if (args[i] == "--interrupt-after-units")
-            options.interrupt_after_units = int_value(args, i);
+            options.interrupt_after_units = int_value<std::int64_t>(args, i);
         else return usage(("unknown run-shard option " + args[i]).c_str());
     }
     if (manifest_path.empty()) return usage("run-shard needs --manifest");
@@ -280,11 +338,13 @@ int cmd_run_shard(const std::vector<std::string>& args) {
     }
 
     const shard::RunShardResult result = shard::run_shard(manifest, records_path, options);
-    std::printf("shard %d/%d: %s %lld unit(s) of [%lld, %lld) -> %s%s\n", manifest.shard_index,
-                manifest.shard_count, result.resumed_from > manifest.unit_begin ? "resumed," : "ran",
+    std::printf("shard %d/%d: %s %lld unit(s) of [%lld, %lld) -> %s, coverage_derived %lld%s\n",
+                manifest.shard_index, manifest.shard_count,
+                result.resumed_from > manifest.unit_begin ? "resumed," : "ran",
                 static_cast<long long>(result.units_run),
                 static_cast<long long>(manifest.unit_begin),
                 static_cast<long long>(manifest.unit_end), records_path.c_str(),
+                static_cast<long long>(result.stats.coverage_derived),
                 result.completed ? "" : " (INTERRUPTED — rerun to resume)");
     return result.completed ? kExitOk : kExitInterrupted;
 }
@@ -299,7 +359,7 @@ int cmd_merge(const std::vector<std::string>& args) {
         else if (args[i] == "--artifact-dir") options.artifact_dir = flag_value(args, i);
         else if (args[i] == "--out") out_path = flag_value(args, i);
         else if (args[i] == "--corpus-out") corpus_path = flag_value(args, i);
-        else if (args[i] == "--threads") options.num_threads = static_cast<int>(int_value(args, i));
+        else if (args[i] == "--threads") options.num_threads = int_value<int>(args, i);
         else return usage(("unknown merge option " + args[i]).c_str());
     }
     if (!records_dir.empty()) {
@@ -334,7 +394,7 @@ int cmd_run(const std::vector<std::string>& args) {
     std::string artifact_dir;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (parse_job_flag(job, args, i)) continue;
-        if (args[i] == "--threads") threads = static_cast<int>(int_value(args, i));
+        if (args[i] == "--threads") threads = int_value<int>(args, i);
         else if (args[i] == "--artifact-dir") artifact_dir = flag_value(args, i);
         else if (args[i] == "--out") out_path = flag_value(args, i);
         else if (args[i] == "--corpus-out") corpus_path = flag_value(args, i);
@@ -383,43 +443,44 @@ int cmd_serve(const std::vector<std::string>& args) {
     std::string out_path;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (parse_job_flag(config.job, args, i)) continue;
-        if (args[i] == "--shards") config.shard_count = static_cast<int>(int_value(args, i));
+        if (args[i] == "--shards") config.shard_count = int_value<int>(args, i);
         else if (args[i] == "--checkpoint-interval")
-            config.checkpoint_interval = static_cast<int>(int_value(args, i));
+            config.checkpoint_interval = int_value<int>(args, i);
         else if (args[i] == "--socket") config.socket_path = flag_value(args, i);
         else if (args[i] == "--records-dir") config.records_dir = flag_value(args, i);
         else if (args[i] == "--artifact-dir") config.artifact_dir = flag_value(args, i);
         else if (args[i] == "--out") out_path = flag_value(args, i);
         else if (args[i] == "--threads")
-            config.prepare_threads = static_cast<int>(int_value(args, i));
+            config.prepare_threads = int_value<int>(args, i);
         else if (args[i] == "--spawn-workers")
-            config.spawn_workers = static_cast<int>(int_value(args, i));
+            config.spawn_workers = int_value<int>(args, i);
         else if (args[i] == "--worker-threads")
-            config.worker_threads = static_cast<int>(int_value(args, i));
+            config.worker_threads = int_value<int>(args, i);
         else if (args[i] == "--max-respawns")
-            config.max_respawns = static_cast<int>(int_value(args, i));
-        else if (args[i] == "--lease-ms") config.lease.lease_ms = std::stod(flag_value(args, i));
+            config.max_respawns = int_value<int>(args, i);
+        else if (args[i] == "--lease-ms") config.lease.lease_ms = double_value(args, i);
         else if (args[i] == "--heartbeat-ms")
-            config.lease.heartbeat_ms = std::stod(flag_value(args, i));
+            config.lease.heartbeat_ms = double_value(args, i);
         else if (args[i] == "--max-failures")
-            config.lease.max_failures = static_cast<int>(int_value(args, i));
+            config.lease.max_failures = int_value<int>(args, i);
         else if (args[i] == "--backoff-base-ms")
-            config.lease.backoff.base_ms = std::stod(flag_value(args, i));
+            config.lease.backoff.base_ms = double_value(args, i);
         else if (args[i] == "--backoff-max-ms")
-            config.lease.backoff.max_ms = std::stod(flag_value(args, i));
-        else if (args[i] == "--linger-ms") config.linger_ms = std::stod(flag_value(args, i));
+            config.lease.backoff.max_ms = double_value(args, i);
+        else if (args[i] == "--linger-ms") config.linger_ms = double_value(args, i);
         else if (args[i] == "--worker-watchdog-ms")
-            config.worker_watchdog_ms = std::stod(flag_value(args, i));
-        else if (args[i] == "--worker-rlimit-as") config.worker_rlimit_as = int_value(args, i);
+            config.worker_watchdog_ms = double_value(args, i);
+        else if (args[i] == "--worker-rlimit-as")
+            config.worker_rlimit_as = int_value<std::int64_t>(args, i);
         else if (args[i] == "--quarantine-max-points")
-            config.quarantine_max_points = int_value(args, i);
+            config.quarantine_max_points = int_value<std::int64_t>(args, i);
         else if (args[i] == "--quarantine-max-alloc-bytes")
-            config.quarantine_max_alloc_bytes = int_value(args, i);
+            config.quarantine_max_alloc_bytes = int_value<std::int64_t>(args, i);
         else if (args[i] == "--listen") config.listen_address = flag_value(args, i);
         else if (args[i] == "--session-grace-ms")
-            config.session_grace_ms = std::stod(flag_value(args, i));
+            config.session_grace_ms = double_value(args, i);
         else if (args[i] == "--worker-reply-timeout-ms")
-            config.worker_reply_timeout_ms = std::stod(flag_value(args, i));
+            config.worker_reply_timeout_ms = double_value(args, i);
         else if (args[i] == "--net-fault") {
             config.net_fault = flag_value(args, i);
             try {
@@ -434,7 +495,7 @@ int cmd_serve(const std::vector<std::string>& args) {
             const std::size_t eq = kv.find('=');
             if (eq == std::string::npos)
                 return usage(("--worker-fault expects <k>=<spec>: " + kv).c_str());
-            const int index = static_cast<int>(std::stoll(kv.substr(0, eq)));
+            const int index = parse_int<int>("--worker-fault " + kv, kv.substr(0, eq));
             try {
                 coord::FaultPlan::parse(kv.substr(eq + 1));  // validate up front
             } catch (const common::Error& e) {
@@ -495,9 +556,9 @@ int cmd_worker(const std::vector<std::string>& args) {
         if (args[i] == "--socket") config.socket_path = flag_value(args, i);
         else if (args[i] == "--connect") config.connect_address = flag_value(args, i);
         else if (args[i] == "--id") config.worker_id = flag_value(args, i);
-        else if (args[i] == "--threads") config.num_threads = static_cast<int>(int_value(args, i));
+        else if (args[i] == "--threads") config.num_threads = int_value<int>(args, i);
         else if (args[i] == "--trial-chunk")
-            config.trial_chunk = static_cast<int>(int_value(args, i));
+            config.trial_chunk = int_value<int>(args, i);
         else if (args[i] == "--fault") {
             try {
                 config.fault = coord::FaultPlan::parse(flag_value(args, i));
@@ -506,11 +567,12 @@ int cmd_worker(const std::vector<std::string>& args) {
             }
         }
         else if (args[i] == "--connect-attempts")
-            config.max_connect_attempts = static_cast<int>(int_value(args, i));
+            config.max_connect_attempts = int_value<int>(args, i);
         else if (args[i] == "--reply-timeout-ms")
-            config.reply_timeout_ms = std::stod(flag_value(args, i));
-        else if (args[i] == "--watchdog-ms") config.watchdog_ms = std::stod(flag_value(args, i));
-        else if (args[i] == "--rlimit-as") config.rlimit_as_bytes = int_value(args, i);
+            config.reply_timeout_ms = double_value(args, i);
+        else if (args[i] == "--watchdog-ms") config.watchdog_ms = double_value(args, i);
+        else if (args[i] == "--rlimit-as")
+            config.rlimit_as_bytes = int_value<std::int64_t>(args, i);
         else if (args[i] == "--quiet") config.verbose = false;
         else return usage(("unknown worker option " + args[i]).c_str());
     }
@@ -654,6 +716,8 @@ int main(int argc, char** argv) {
             return kExitOk;
         }
         return usage(("unknown command " + command).c_str());
+    } catch (const UsageError& e) {
+        return usage(e.what());
     } catch (const common::ParseError& e) {
         std::fprintf(stderr, "ffaudit %s: %s\n", command.c_str(), e.what());
         return kExitParse;
